@@ -28,13 +28,9 @@ from .fock_matrix import (
     AlgebraReport,
     TruncatedOperator,
     annihilation_matrix,
-    commutator,
     creation_matrix,
-    deformation_diagonal,
     identity_matrix,
     number_matrix,
-    projector,
-    tensor_pair,
     verify_algebra,
 )
 from .geometric import (
@@ -95,10 +91,8 @@ __all__ = [
     "ThermalSpec",
     "TruncatedOperator",
     "annihilation_matrix",
-    "commutator",
     "creation_matrix",
     "d_factorial",
-    "deformation_diagonal",
     "entanglement_entropy_closed",
     "entropy_bits_from_mean",
     "eval_d",
@@ -112,7 +106,6 @@ __all__ = [
     "number_matrix",
     "parse_deformation",
     "probability_cutoff",
-    "projector",
     "quadrature_variances",
     "reduced_entropy_bits",
     "render",
@@ -120,7 +113,6 @@ __all__ = [
     "squeezed_probabilities",
     "squeezed_variances_closed",
     "squeezed_variances_from_nbar",
-    "tensor_pair",
     "thermal_entropy_bits",
     "thermal_moments_closed",
     "thermal_nbar_closed_bm",

@@ -371,10 +371,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    q_values = list(_parse_float_list(args.q))
     dims = _parse_int_list(args.dims)
+    if not q_values:
+        raise _UsageError("verify needs at least one --q value")
+    if not dims:
+        raise _UsageError("verify needs at least one --dims value")
     if any(d < 2 for d in dims):
         raise _UsageError("verify needs dims >= 2")
-    text, code = run_verify(args.scheme, list(_parse_float_list(args.q)), dims, args.tol)
+    text, code = run_verify(args.scheme, q_values, dims, args.tol)
     sys.stdout.write(text)
     return code
 

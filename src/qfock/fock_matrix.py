@@ -1,10 +1,18 @@
-"""Dense truncated matrices over the number basis |0> .. |N_max>.
+"""Truncated ladder matrices over the number basis |0> .. |N_max>, and
+the ladder-algebra verifier.
 
 The ladder matrices carry sqrt(d(n+1)) on the off-diagonals, so a+ a is
 diagonal with entries d(n) on the whole truncated space, while relations
 involving a a+ only hold away from the cutoff.  Algebra checks are
 therefore restricted to the interior block (row/column index < dim - 1),
 where the truncation cannot be felt.
+
+Every product entering a relation (a+ a, a a+, N a+, a+ N, N a, a N) is
+diagonal or has a single off-diagonal band, so the verifier forms each
+relation on its band from the superdiagonal of the annihilation matrix and
+the values d(0..dim), in O(dim).  Each entry of such a product has exactly
+one non-zero term, so the band values are the entries the dense matrix
+products give, bit for bit.
 
 Residuals are reported in a floating-point-sane normalized form: the
 max-abs entry of (lhs - rhs) divided by max(1, largest magnitude among
@@ -26,26 +34,12 @@ from .deformation import BIEDENHARN_MACFARLANE, DeformationScheme, eval_d
 __all__ = [
     "TruncatedOperator",
     "AlgebraReport",
-    "RELATION_NAMES",
-    "projector",
     "annihilation_matrix",
     "creation_matrix",
     "number_matrix",
     "identity_matrix",
-    "deformation_diagonal",
-    "commutator",
-    "tensor_pair",
     "verify_algebra",
 ]
-
-RELATION_NAMES = (
-    "ladder_product",  # a+ a = diag d(n)
-    "shifted_ladder_product",  # a a+ = diag d(n+1)
-    "ladder_commutator",  # [a, a+] = diag d(n+1) - d(n)
-    "number_raises",  # [N, a+] = a+
-    "number_lowers",  # [N, a] = -a
-    "q_commutation",  # a a+ - q a+ a = diag q^-n   (symmetric scheme only)
-)
 
 
 @dataclass(frozen=True)
@@ -67,15 +61,6 @@ class TruncatedOperator:
             raise ValueError("entries must all be finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-
-def projector(m: int, n: int, dim: int) -> TruncatedOperator:
-    """Matrix unit |m><n|: a single 1 at row m, column n."""
-    if not (0 <= m < dim and 0 <= n < dim):
-        raise IndexError(f"projector indices ({m}, {n}) out of range for dim {dim}")
-    entries = np.zeros((dim, dim))
-    entries[m, n] = 1.0
-    return TruncatedOperator(dim, entries)
 
 
 def _ladder_values(scheme: DeformationScheme, dim: int) -> np.ndarray:
@@ -118,44 +103,20 @@ def identity_matrix(dim: int) -> TruncatedOperator:
     return TruncatedOperator(dim, np.eye(dim))
 
 
-def deformation_diagonal(
-    scheme: DeformationScheme, dim: int, shift: int = 0
-) -> TruncatedOperator:
-    """diag(d(n + shift)) for n = 0..dim-1; shift 1 gives the a a+ spectrum.
-
-    Built entrywise from the scheme (values past the stored ladder are
-    computed on demand), never by a matrix function of N.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(
-        dim, np.diag([eval_d(scheme, n + shift) for n in range(dim)])
-    )
-
-
-def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """AB - BA."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return TruncatedOperator(a.dim, a.entries @ b.entries - b.entries @ a.entries)
-
-
-def tensor_pair(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """Kronecker product acting on (physical, twin) mode pairs.
-
-    Slow path for cross-validating paired-state reductions in tests; the
-    result is (dim_a * dim_b)^2 entries, so keep dims small (<= 16).
-    """
-    return TruncatedOperator(a.dim * b.dim, np.kron(a.entries, b.entries))
-
-
 @dataclass(frozen=True)
 class AlgebraReport:
     """Normalized max-abs residuals of the ladder algebra on the interior.
 
-    ``residuals`` maps relation names (see RELATION_NAMES) to their
-    normalized residual over rows/columns with index < dim - 1; the
-    q_commutation entry is present only for the symmetric built-in scheme.
+    ``residuals`` maps each relation name to its normalized residual over
+    rows/columns with index < dim - 1:
+
+    - ``ladder_product``: a+ a = diag d(n)
+    - ``shifted_ladder_product``: a a+ = diag d(n+1)
+    - ``ladder_commutator``: [a, a+] = diag d(n+1) - d(n)
+    - ``number_raises``: [N, a+] = a+
+    - ``number_lowers``: [N, a] = -a
+    - ``q_commutation``: a a+ - q a+ a = diag q^-n, present only for the
+      symmetric built-in scheme.
     """
 
     dim: int
@@ -171,10 +132,10 @@ class AlgebraReport:
         return all(r < self.tol for r in self.residuals.values())
 
 
-def _interior_residual(delta: np.ndarray, *operands: np.ndarray) -> float:
-    interior = delta[: delta.shape[0] - 1, : delta.shape[1] - 1]
+def _residual(band: np.ndarray, *operands: np.ndarray) -> float:
+    """max|band| / max(1, max|operand|); an empty band has residual 0."""
     scale = max([1.0] + [float(np.abs(op).max()) for op in operands])
-    return float(np.abs(interior).max() / scale)
+    return float(np.abs(band).max(initial=0.0) / scale)
 
 
 def verify_algebra(scheme: DeformationScheme, dim: int, tol: float) -> AlgebraReport:
@@ -182,38 +143,41 @@ def verify_algebra(scheme: DeformationScheme, dim: int, tol: float) -> AlgebraRe
 
     Report-only: residuals are recorded against ``tol`` but nothing is
     raised.  All relations are evaluated on the interior block only, since
-    the cut superdiagonal makes a a+ wrong in the last row/column.
+    the cut superdiagonal makes a a+ wrong in the last row/column.  The
+    relation names are listed on ``AlgebraReport``.
+
+    The residuals are computed on the bands of the products, in O(dim),
+    from the superdiagonal s of the matrix ``annihilation_matrix`` returns,
+    and equal those of the dense dim x dim products bit for bit.
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2 to form an interior block, got {dim}")
-    a = annihilation_matrix(scheme, dim).entries
-    adag = creation_matrix(scheme, dim).entries
-    num = number_matrix(dim).entries
-    d_n = deformation_diagonal(scheme, dim).entries
-    d_n1 = deformation_diagonal(scheme, dim, shift=1).entries
+    s = annihilation_matrix(scheme, dim).entries.diagonal(1)
+    d = np.array([eval_d(scheme, n) for n in range(dim + 1)])
+    d_n, d_n1 = d[:-1], d[1:]
 
-    adag_a = adag @ a
-    a_adag = a @ adag
-    n_adag = num @ adag
-    adag_n = adag @ num
-    n_a = num @ a
-    a_n = a @ num
+    # Diagonals of a+ a and a a+, and the bands N a+ = a N = (k+1) s and
+    # a+ N = N a = k s, where k = 0..dim-2 indexes the superdiagonal.
+    squares = s * s
+    adag_a = np.concatenate(([0.0], squares))
+    a_adag = np.concatenate((squares, [0.0]))
+    k = np.arange(dim - 1, dtype=float)
+    k_s, k1_s = k * s, (k + 1.0) * s
 
+    # Diagonal bands keep n < dim - 1, off-diagonal bands k < dim - 2.
     residuals = {
-        "ladder_product": _interior_residual(adag_a - d_n, adag_a, d_n),
-        "shifted_ladder_product": _interior_residual(a_adag - d_n1, a_adag, d_n1),
-        "ladder_commutator": _interior_residual(
-            (a_adag - adag_a) - (d_n1 - d_n), a_adag, adag_a, d_n1 - d_n
+        "ladder_product": _residual((adag_a - d_n)[:-1], adag_a, d_n),
+        "shifted_ladder_product": _residual((a_adag - d_n1)[:-1], a_adag, d_n1),
+        "ladder_commutator": _residual(
+            ((a_adag - adag_a) - (d_n1 - d_n))[:-1], a_adag, adag_a, d_n1 - d_n
         ),
-        "number_raises": _interior_residual(
-            (n_adag - adag_n) - adag, n_adag, adag_n, adag
-        ),
-        "number_lowers": _interior_residual((n_a - a_n) + a, n_a, a_n, a),
+        "number_raises": _residual(((k1_s - k_s) - s)[:-1], k1_s, k_s, s),
+        "number_lowers": _residual(((k_s - k1_s) + s)[:-1], k_s, k1_s, s),
     }
     if scheme.kind == BIEDENHARN_MACFARLANE:
-        q_pow = np.diag(scheme.q ** -np.arange(dim, dtype=float))
+        q_pow = scheme.q ** -np.arange(dim, dtype=float)
         q_scaled = scheme.q * adag_a
-        residuals["q_commutation"] = _interior_residual(
-            a_adag - q_scaled - q_pow, a_adag, q_scaled, q_pow
+        residuals["q_commutation"] = _residual(
+            (a_adag - q_scaled - q_pow)[:-1], a_adag, q_scaled, q_pow
         )
     return AlgebraReport(dim=dim, tol=tol, residuals=residuals)

@@ -1,6 +1,17 @@
-"""Small shared test utilities."""
+"""Small shared test utilities, and the dense-matrix reference routes."""
 
 import math
+
+import numpy as np
+
+from qfock import (
+    BIEDENHARN_MACFARLANE,
+    TruncatedOperator,
+    annihilation_matrix,
+    creation_matrix,
+    eval_d,
+    number_matrix,
+)
 
 
 def close(a, b, tol):
@@ -33,3 +44,83 @@ def undeformed_nbar_squeezed(xi):
 
 def undeformed_nbar_thermal(theta):
     return 1.0 / math.expm1(theta)
+
+
+def projector(m, n, dim):
+    """Matrix unit |m><n|: a single 1 at row m, column n."""
+    if not (0 <= m < dim and 0 <= n < dim):
+        raise IndexError(f"projector indices ({m}, {n}) out of range for dim {dim}")
+    entries = np.zeros((dim, dim))
+    entries[m, n] = 1.0
+    return TruncatedOperator(dim, entries)
+
+
+def deformation_diagonal(scheme, dim, shift=0):
+    """diag(d(n + shift)) for n = 0..dim-1; shift 1 gives the a a+ spectrum.
+
+    Built entrywise from the scheme, never by a matrix function of N.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    return TruncatedOperator(
+        dim, np.diag([eval_d(scheme, n + shift) for n in range(dim)])
+    )
+
+
+def commutator(a, b):
+    """AB - BA."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return TruncatedOperator(a.dim, a.entries @ b.entries - b.entries @ a.entries)
+
+
+def tensor_pair(a, b):
+    """Kronecker product acting on (physical, twin) mode pairs.
+
+    The result is (dim_a * dim_b)^2 entries, so keep dims small (<= 16).
+    """
+    return TruncatedOperator(a.dim * b.dim, np.kron(a.entries, b.entries))
+
+
+def _interior_residual(delta, *operands):
+    interior = delta[: delta.shape[0] - 1, : delta.shape[1] - 1]
+    scale = max([1.0] + [float(np.abs(op).max()) for op in operands])
+    return float(np.abs(interior).max() / scale)
+
+
+def dense_algebra_residuals(scheme, dim):
+    """Reference for ``verify_algebra(...).residuals``: the six ladder
+    products formed as dense dim x dim matrices, O(dim^3)."""
+    if dim < 2:
+        raise ValueError(f"need dim >= 2 to form an interior block, got {dim}")
+    a = annihilation_matrix(scheme, dim).entries
+    adag = creation_matrix(scheme, dim).entries
+    num = number_matrix(dim).entries
+    d_n = deformation_diagonal(scheme, dim).entries
+    d_n1 = deformation_diagonal(scheme, dim, shift=1).entries
+
+    adag_a = adag @ a
+    a_adag = a @ adag
+    n_adag = num @ adag
+    adag_n = adag @ num
+    n_a = num @ a
+    a_n = a @ num
+
+    residuals = {
+        "ladder_product": _interior_residual(adag_a - d_n, adag_a, d_n),
+        "shifted_ladder_product": _interior_residual(a_adag - d_n1, a_adag, d_n1),
+        "ladder_commutator": _interior_residual(
+            (a_adag - adag_a) - (d_n1 - d_n), a_adag, adag_a, d_n1 - d_n
+        ),
+        "number_raises": _interior_residual(
+            (n_adag - adag_n) - adag, n_adag, adag_n, adag
+        ),
+        "number_lowers": _interior_residual((n_a - a_n) + a, n_a, a_n, a),
+    }
+    if scheme.kind == BIEDENHARN_MACFARLANE:
+        q_pow = np.diag(scheme.q ** -np.arange(dim, dtype=float))
+        q_scaled = scheme.q * adag_a
+        residuals["q_commutation"] = _interior_residual(
+            a_adag - q_scaled - q_pow, a_adag, q_scaled, q_pow
+        )
+    return residuals

@@ -187,6 +187,15 @@ def test_verify_rejected_custom_expression(capsys):
     assert main(["verify", "--scheme", "expr:n+1", "--dims", "8"]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--dims", ""), ("--q", ",")])
+def test_verify_empty_list_is_usage_error(capsys, flag, value):
+    # an empty list checks nothing, so it must not report overall: PASS
+    assert main(["verify", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     assert main(["verify", "--scheme", "undeformed", "--dims", "16", "--tol", "1e-30"]) == 2
     assert "overall: FAIL" in capsys.readouterr().out

@@ -8,15 +8,19 @@ import pytest
 from qfock import (
     DeformationScheme,
     annihilation_matrix,
-    commutator,
     creation_matrix,
-    deformation_diagonal,
     eval_d,
     identity_matrix,
     number_matrix,
+    verify_algebra,
+)
+
+from helpers import (
+    commutator,
+    deformation_diagonal,
+    dense_algebra_residuals,
     projector,
     tensor_pair,
-    verify_algebra,
 )
 
 UNDEFORMED = DeformationScheme.undeformed()
@@ -161,6 +165,51 @@ def test_verify_algebra_is_report_only():
 def test_verify_algebra_needs_interior():
     with pytest.raises(ValueError):
         verify_algebra(UNDEFORMED, 1, 1e-10)
+
+
+QUADRATIC = "n + (q - 1)*n*(n - 1)/2"
+BM_TEXT = "(q^n - q^(-n))/(q - q^(-1))"
+REFERENCE_SCHEMES = (
+    [pytest.param(UNDEFORMED, id="undeformed")]
+    + [
+        pytest.param(DeformationScheme.biedenharn_macfarlane(q), id=f"bm-{q!r}")
+        for q in (0.5, 0.51, 0.7, 0.999, 1.0, 1.0 + 1e-9, 1.3, 1.9, 2.0)
+    ]
+    + [
+        pytest.param(DeformationScheme.custom(QUADRATIC, q), id=f"quadratic-{q!r}")
+        for q in (1.0, 1.25, 1.5, 2.0)
+    ]
+    + [
+        pytest.param(DeformationScheme.custom("n^2", 1.0), id="square"),
+        pytest.param(DeformationScheme.custom(BM_TEXT, 1.5), id="bm_text-1.5"),
+    ]
+)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 64, 257])
+@pytest.mark.parametrize("scheme", REFERENCE_SCHEMES)
+def test_verify_algebra_equals_dense_products(scheme, dim):
+    # the band route rounds each product entry exactly as the dense one does
+    assert verify_algebra(scheme, dim, 1e-10).residuals == dense_algebra_residuals(
+        scheme, dim
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme,dim,error",
+    [
+        pytest.param(
+            DeformationScheme.custom("n*(3-n)/2", 1.0), 6, ValueError, id="negative-d4"
+        ),
+        pytest.param(BM_TWO, 1030, OverflowError, id="overflow-in-ladder"),
+        pytest.param(BM_TWO, 1024, OverflowError, id="overflow-at-d-dim"),
+    ],
+)
+def test_verify_algebra_raises_like_dense_products(scheme, dim, error):
+    with pytest.raises(error):
+        dense_algebra_residuals(scheme, dim)
+    with pytest.raises(error):
+        verify_algebra(scheme, dim, 1e-10)
 
 
 def test_negative_deformation_value_rejected():

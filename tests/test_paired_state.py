@@ -17,10 +17,9 @@ from qfock import (
     quadrature_variances,
     reduced_entropy_bits,
     shannon_entropy_bits,
-    tensor_pair,
 )
 
-from helpers import close, geometric_probs, geometric_tail
+from helpers import close, geometric_probs, geometric_tail, tensor_pair
 
 UNDEFORMED = DeformationScheme.undeformed()
 BM_TWO = DeformationScheme.biedenharn_macfarlane(2.0)
