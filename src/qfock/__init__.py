@@ -10,7 +10,6 @@ brute-force truncated-sum oracle.
 from .deformation import (
     BIEDENHARN_MACFARLANE,
     CUSTOM,
-    Q_LIMIT_WINDOW,
     UNDEFORMED,
     DeformationScheme,
     d_factorial,
@@ -35,7 +34,7 @@ from .fock_matrix import (
 )
 from .geometric import (
     DivergenceError,
-    entropy_bits_from_mean,
+    GeometricLaw,
     geometric_state,
     probability_cutoff,
     weighted_cutoff,
@@ -60,13 +59,11 @@ from .squeezed import (
     squeezed_variances_from_nbar,
 )
 from .thermal import (
-    ThermalNbarSplit,
     ThermalSpec,
     thermal_entropy_bits,
     thermal_moments_closed,
     thermal_nbar_closed_bm,
     thermal_nbar_series,
-    thermal_nbar_split,
     thermal_probabilities,
     thermal_variances_closed,
 )
@@ -76,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BIEDENHARN_MACFARLANE",
     "CUSTOM",
-    "Q_LIMIT_WINDOW",
     "UNDEFORMED",
     "AlgebraReport",
     "DeformationScheme",
@@ -84,17 +80,16 @@ __all__ = [
     "EvaluationError",
     "ExpressionError",
     "ExpressionTree",
+    "GeometricLaw",
     "MomentSet",
     "PairedDiagonalState",
     "SqueezedSpec",
-    "ThermalNbarSplit",
     "ThermalSpec",
     "TruncatedOperator",
     "annihilation_matrix",
     "creation_matrix",
     "d_factorial",
     "entanglement_entropy_closed",
-    "entropy_bits_from_mean",
     "eval_d",
     "evaluate_tree",
     "from_probabilities",
@@ -117,7 +112,6 @@ __all__ = [
     "thermal_moments_closed",
     "thermal_nbar_closed_bm",
     "thermal_nbar_series",
-    "thermal_nbar_split",
     "thermal_probabilities",
     "thermal_variances_closed",
     "verify_algebra",

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
-from .deformation import CUSTOM, Q_LIMIT_WINDOW, UNDEFORMED, DeformationScheme
+from .deformation import CUSTOM, DeformationScheme
 from .expressions import (
     EvaluationError,
     ExpressionError,
@@ -40,22 +39,8 @@ from .fock_matrix import (
 )
 from .geometric import DivergenceError
 from .paired_state import shannon_entropy_bits
-from .squeezed import (
-    SqueezedSpec,
-    entanglement_entropy_closed,
-    nbar_closed_bm,
-    nbar_series,
-    squeezed_probabilities,
-    squeezed_variances_from_nbar,
-)
-from .thermal import (
-    ThermalSpec,
-    thermal_entropy_bits,
-    thermal_nbar_closed_bm,
-    thermal_nbar_series,
-    thermal_probabilities,
-    thermal_variances_closed,
-)
+from .squeezed import SqueezedSpec, nbar_series, squeezed_probabilities
+from .thermal import ThermalSpec, thermal_nbar_series, thermal_probabilities
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "run_verify", "run_ops_dump", "main"]
 
@@ -66,6 +51,9 @@ CSV_HEADER = (
 
 # Flag when series and closed-form means disagree beyond this.
 _MISMATCH_TOL = 1e-8
+
+# Largest truncation that `ops` dumps and `verify` certifies.
+_MAX_DIM = 512
 
 _OPERATORS = ("annihilation", "creation", "number", "identity")
 
@@ -142,58 +130,43 @@ def resolve_scheme(descriptor: str, q: float) -> DeformationScheme:
     )
 
 
-def _closed_nbar(family: str, scheme: DeformationScheme, param: float) -> float | None:
-    """Closed-form mean for the row, or None when no closed form applies."""
-    if scheme.kind == CUSTOM:
-        return None
-    if scheme.kind == UNDEFORMED or abs(scheme.q - 1.0) < Q_LIMIT_WINDOW:
-        if family == "squeezed":
-            return math.sinh(param) ** 2
-        return 1.0 / math.expm1(param)
-    if family == "squeezed":
-        return nbar_closed_bm(scheme.q, param)
-    return thermal_nbar_closed_bm(scheme.q, param)
-
-
 def _compute_row(
-    family: str, descriptor: str, q: float, param: float, tail_tol: float
+    family: str, scheme: DeformationScheme, q: float, param: float, tail_tol: float
 ) -> ResultRow:
-    scheme = resolve_scheme(descriptor, q)
+    # The builders are looked up here, at call time, so wrappers installed
+    # on this module's names (layer tracing) see every call.
     if family == "squeezed":
         spec = SqueezedSpec(xi=param, scheme=scheme, tail_tol=tail_tol)
-        probs = squeezed_probabilities(spec)
-        ratio = spec.ratio
-        entropy_closed = entanglement_entropy_closed(param)
+        probabilities, series_of = squeezed_probabilities, nbar_series
     else:
         spec = ThermalSpec(theta=param, scheme=scheme, tail_tol=tail_tol)
-        probs = thermal_probabilities(spec)
-        ratio = spec.ratio
-        entropy_closed = thermal_entropy_bits(param)
+        probabilities, series_of = thermal_probabilities, thermal_nbar_series
+    law = spec.law
+    probs = probabilities(spec)
     cutoff = len(probs) - 1
-    tail_bound = ratio ** (cutoff + 1)
+    tail_bound = law.r ** (cutoff + 1)
 
     flags = []
     convergent = True
     series = None
     try:
-        series = nbar_series(spec) if family == "squeezed" else thermal_nbar_series(spec)
+        series = series_of(spec)
     except DivergenceError:
         convergent = False
 
+    # The symmetric closed form covers the undeformed scheme as q = 1.
     closed = None
-    try:
-        closed = _closed_nbar(family, scheme, param)
-    except DivergenceError:
-        closed = None
+    if scheme.kind != CUSTOM:
+        try:
+            closed = law.symmetric_nbar(scheme.q)
+        except DivergenceError:
+            pass
     if closed is None:
         flags.append("closed-form-skipped")
 
     var1 = var2 = product = None
     if series is not None:
-        if family == "squeezed":
-            var1, var2, product = squeezed_variances_from_nbar(param, series)
-        else:
-            var1, var2, product = thermal_variances_closed(param, series)
+        var1, var2, product = law.variances(series)
 
     entropy_series = None
     try:
@@ -214,7 +187,7 @@ def _compute_row(
         var1=var1,
         var2=var2,
         product=product,
-        entropy_closed=entropy_closed,
+        entropy_closed=law.entropy_bits(),
         entropy_series=entropy_series,
         cutoff=cutoff,
         tail_bound=tail_bound,
@@ -226,8 +199,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """One row per (q, parameter) pair, q-major then parameter-minor."""
     rows = []
     for q in spec.q_values:
+        scheme = resolve_scheme(spec.scheme, q)
         for param in spec.param_values:
-            rows.append(_compute_row(spec.family, spec.scheme, q, param, spec.tail_tol))
+            rows.append(_compute_row(spec.family, scheme, q, param, spec.tail_tol))
     return rows
 
 
@@ -275,8 +249,8 @@ def run_ops_dump(descriptor: str, q: float, dim: int, operator: str) -> str:
         raise _UsageError(
             f"unknown operator {operator!r} (choose from {', '.join(_OPERATORS)})"
         )
-    if not 1 <= dim <= 512:
-        raise _UsageError(f"dim must lie between 1 and 512, got {dim}")
+    if not 1 <= dim <= _MAX_DIM:
+        raise _UsageError(f"dim must lie between 1 and {_MAX_DIM}, got {dim}")
     scheme = resolve_scheme(descriptor, q)
     if operator == "annihilation":
         op = annihilation_matrix(scheme, dim)
@@ -377,8 +351,9 @@ def _cmd_verify(args) -> int:
         raise _UsageError("verify needs at least one --q value")
     if not dims:
         raise _UsageError("verify needs at least one --dims value")
-    if any(d < 2 for d in dims):
-        raise _UsageError("verify needs dims >= 2")
+    bad = [d for d in dims if not 2 <= d <= _MAX_DIM]
+    if bad:
+        raise _UsageError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
     text, code = run_verify(args.scheme, q_values, dims, args.tol)
     sys.stdout.write(text)
     return code

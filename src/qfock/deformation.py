@@ -5,19 +5,21 @@ ladder product a+ a, normalized so that d(0) = 0 and d(1) = 1.  The
 undeformed oscillator has d(n) = n.  The built-in symmetric one-parameter
 generalization
 
-    d(n) = (q^n - q^-n) / (q - q^-1)
+    d(n) = (q^n - q^-n) / (q - q^-1) = sinh(n lam) / sinh(lam),  lam = ln q
 
-is invariant under q <-> 1/q and reduces to n as q -> 1 (the ratio loses
-all precision near q = 1, so inside a small window around it the limit
-value is returned directly).  Arbitrary user-supplied laws in q and n are
-accepted as expression text; they are probed at n = 0 and n = 1 during
-construction, since everything downstream assumes d(0) = 0 and d(1) = 1.
+is invariant under q <-> 1/q and reduces to n as q -> 1.  It is evaluated
+in the sinh form, which keeps full relative precision however close q is
+to 1; only q = 1 itself, where the form reads 0/0, returns n directly.
+Arbitrary user-supplied laws in q and n are accepted as expression text;
+they are probed at n = 0 and n = 1 during construction, since everything
+downstream assumes d(0) = 0 and d(1) = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expressions import (
     EvaluationError,
@@ -31,7 +33,6 @@ __all__ = [
     "UNDEFORMED",
     "BIEDENHARN_MACFARLANE",
     "CUSTOM",
-    "Q_LIMIT_WINDOW",
     "DeformationScheme",
     "eval_d",
     "d_factorial",
@@ -41,9 +42,6 @@ UNDEFORMED = "undeformed"
 BIEDENHARN_MACFARLANE = "biedenharn-macfarlane"
 CUSTOM = "custom"
 _KINDS = (UNDEFORMED, BIEDENHARN_MACFARLANE, CUSTOM)
-
-# |q - 1| below this: the symmetric scheme switches to its q -> 1 limit d(n) = n.
-Q_LIMIT_WINDOW = 1e-8
 
 _PROBE_TOL = 1e-12
 
@@ -105,6 +103,11 @@ class DeformationScheme:
             text = render(source)
         return cls(CUSTOM, q, tree, text)
 
+    @cached_property
+    def lam(self) -> float:
+        """lam = ln q, the parameter of the sinh form of the symmetric law."""
+        return math.log(self.q)
+
     @property
     def label(self) -> str:
         """Short human-readable descriptor (expression text for custom laws)."""
@@ -121,12 +124,15 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
     if scheme.kind == UNDEFORMED:
         return float(m)
     if scheme.kind == BIEDENHARN_MACFARLANE:
-        q = scheme.q
-        if abs(q - 1.0) < Q_LIMIT_WINDOW:
+        lam = scheme.lam
+        if lam == 0.0:
             return float(m)
-        value = (q ** float(m) - q ** (-float(m))) / (q - q**-1.0)
+        try:
+            value = math.sinh(m * lam) / math.sinh(lam)
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
-            raise OverflowError(f"deformation value overflowed at n={m} (q={q!r})")
+            raise OverflowError(f"deformation value overflowed at n={m} (q={scheme.q!r})")
         return value
     return evaluate_tree(scheme.expr, scheme.q, float(m))
 

@@ -1,26 +1,35 @@
-"""Geometric pair-number laws shared by the squeezed and thermal vacua.
+"""The geometric pair-number law shared by the squeezed and thermal vacua.
 
 Both vacua distribute the pair number n as P_n = (1 - r) r^n for a ratio
-r in [0, 1) (r = tanh^2 xi for squeezing, r = e^-theta for temperature).
-This module owns everything that depends only on r: cutoff selection,
-adaptive d-weighted series summation with divergence detection, and the
-closed entropy of the law expressed through its mean.
+r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
+``GeometricLaw`` is that one object, and every closed form is written once
+on it: the probabilities, the mean under the symmetric deformation, the
+second moments and quadrature variances, and the entropy.  The squeezed
+and thermal modules only map their physical parameter onto a law.  This
+module also owns cutoff selection and the adaptive d-weighted series
+summation with divergence detection.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .deformation import DeformationScheme, eval_d
-from .paired_state import PairedDiagonalState, from_probabilities
+from .paired_state import (
+    MomentSet,
+    PairedDiagonalState,
+    from_probabilities,
+    quadrature_variances,
+)
 
 __all__ = [
     "DivergenceError",
+    "GeometricLaw",
     "probability_cutoff",
     "weighted_series",
     "weighted_cutoff",
     "geometric_state",
-    "entropy_bits_from_mean",
 ]
 
 _GROWTH_PATIENCE = 32
@@ -33,6 +42,113 @@ class DivergenceError(ArithmeticError):
     def __init__(self, message: str, ratio: float | None = None):
         super().__init__(message)
         self.ratio = ratio
+
+
+class GeometricLaw(NamedTuple):
+    """The pair-number law P_n = (1 - r) r^n, 0 <= r < 1.
+
+    The complements 1 - r and 1 - sqrt(r) are taken from the physical
+    parameter, never by subtraction from r, so they keep full relative
+    precision as r -> 1.  Build one with ``from_xi`` or ``from_theta``.
+    """
+
+    r: float
+    one_minus_r: float
+    sqrt_r: float
+    one_minus_sqrt_r: float
+
+    @classmethod
+    def from_xi(cls, xi: float) -> "GeometricLaw":
+        """Squeezing: r = tanh^2 xi, 1 - r = 1/cosh^2 xi,
+        1 - tanh|xi| = 2/(1 + e^(2|xi|))."""
+        x = abs(xi)
+        t = math.tanh(x)
+        return cls(t * t, 1.0 / math.cosh(x) ** 2, t, 2.0 / (1.0 + math.exp(2.0 * x)))
+
+    @classmethod
+    def from_theta(cls, theta: float) -> "GeometricLaw":
+        """Temperature: r = e^-theta for theta = beta * omega > 0."""
+        if not theta > 0.0:
+            raise ValueError(f"theta must be positive, got {theta!r}")
+        return cls(
+            math.exp(-theta),
+            -math.expm1(-theta),
+            math.exp(-0.5 * theta),
+            -math.expm1(-0.5 * theta),
+        )
+
+    def probabilities(self, tail_tol: float) -> list[float]:
+        """P_n for n = 0..N, cut at the smallest N with r^(N+1) <= tail_tol,
+        so the emitted sum is >= 1 - tail_tol."""
+        cutoff = probability_cutoff(self.r, tail_tol)
+        return [self.one_minus_r * self.r**n for n in range(cutoff + 1)]
+
+    def symmetric_nbar(self, q: float) -> float:
+        """Mean of d(n) = (q^n - q^-n)/(q - 1/q) (d(n) = n at q = 1) under the law.
+
+            nbar = r (1 - r) / ((1 - r - (q - 1) r) (1 - r + (q - 1) r / q))
+
+        The factors are 1 - q r and 1 - r/q written without cancellation
+        as q -> 1, so the form holds at q = 1 too.  The series converges iff
+        both factors are positive (max(q, 1/q) r < 1); otherwise
+        DivergenceError is raised.
+        """
+        if not q > 0.0:
+            raise ValueError(f"deformation parameter q must be positive, got {q!r}")
+        r, omr = self.r, self.one_minus_r
+        dq = q - 1.0
+        lower = omr - dq * r
+        upper = omr + dq * r / q
+        if lower <= 0.0 or upper <= 0.0:
+            raise DivergenceError(
+                f"series diverges: max(q, 1/q) * r = {max(q, 1.0 / q) * r!r} >= 1"
+            )
+        return r * omr / (lower * upper)
+
+    def moments(self, nbar: float) -> MomentSet:
+        """Second moments from the mean nbar = <a+ a>.
+
+            <a a+>  = nbar / r
+            <a a~>  = <a+ a~+> = nbar / sqrt(r)
+
+        These are the index-shift identities of the geometric law and hold
+        for every scheme with d(0) = 0.  A zero mean or a zero ratio is the
+        vacuum, (0, 1, 0, 0).
+        """
+        if nbar == 0.0 or self.r == 0.0:
+            return MomentSet(0.0, 1.0, 0.0, 0.0)
+        cross = nbar / self.sqrt_r
+        return MomentSet(nbar, nbar / self.r, cross, cross)
+
+    def variances(self, nbar: float) -> tuple[float, float, float]:
+        """Quadrature variances and their product, given the mean nbar.
+
+            var1 = <a a+> (1 + sqrt r)^2 / 4
+            var2 = <a a+> (1 - sqrt r)^2 / 4
+            product = (<a a+> (1 - r) / 4)^2
+
+        with <a a+> = nbar / r (see ``moments``).  The vacuum's values
+        (1/4, 1/4, 1/16) come through the moment route, where the forms
+        would read 0 * inf.  Raises OverflowError on a non-finite result.
+        """
+        if nbar == 0.0 or self.r == 0.0:
+            var1, var2 = quadrature_variances(self.moments(0.0))
+            return var1, var2, var1 * var2
+        a_adag = nbar / self.r
+        var1 = 0.25 * a_adag * (1.0 + self.sqrt_r) ** 2
+        var2 = 0.25 * a_adag * self.one_minus_sqrt_r**2
+        product = (0.25 * a_adag * self.one_minus_r) ** 2
+        if not (math.isfinite(var1) and math.isfinite(var2) and math.isfinite(product)):
+            raise OverflowError(f"variance formulas overflowed at r={self.r!r}")
+        return var1, var2, product
+
+    def entropy_bits(self) -> float:
+        """Shannon entropy of the law in bits,
+        -log2(1 - r) - r log2(r) / (1 - r); 0 at r = 0."""
+        if self.r == 0.0:
+            return 0.0
+        r, omr = self.r, self.one_minus_r
+        return -math.log2(omr) - r * math.log2(r) / omr
 
 
 def probability_cutoff(ratio: float, tail_tol: float) -> int:
@@ -139,15 +255,3 @@ def geometric_state(
     probs = [(1.0 - ratio) * ratio**n for n in range(cutoff + 1)]
     return from_probabilities(probs, ratio ** (cutoff + 1))
 
-
-def entropy_bits_from_mean(mean: float) -> float:
-    """Entropy in bits of a geometric law with the given mean pair number.
-
-    Evaluates (1 + m) log2(1 + m) - m log2 m, which is the Shannon entropy
-    of P_n = (1 - r) r^n written through its mean m = r / (1 - r).
-    """
-    if mean < 0.0:
-        raise ValueError(f"mean pair number must be nonnegative, got {mean!r}")
-    if mean == 0.0:
-        return 0.0
-    return (1.0 + mean) * math.log2(1.0 + mean) - mean * math.log2(mean)

@@ -62,14 +62,6 @@ class PairedDiagonalState:
     def probabilities(self) -> list[float]:
         return [c * c for c in self.coeffs]
 
-    def as_json_dict(self) -> dict:
-        """Wire form used by CLI dumps: {"coeffs": [...], "tail_bound": x}."""
-        return {"coeffs": list(self.coeffs), "tail_bound": self.tail_bound}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PairedDiagonalState":
-        return cls(tuple(float(c) for c in payload["coeffs"]), float(payload["tail_bound"]))
-
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -152,7 +144,7 @@ def shannon_entropy_bits(probabilities: Sequence[float]) -> float:
     """Shannon entropy -sum P log2 P in bits, with 0 log 0 = 0.
 
     The sequence must be a distribution: nonnegative, total within 1e-9
-    of 1.
+    of 1.  A point mass gives +0.0, never -0.0.
     """
     probs = [float(p) for p in probabilities]
     for n, p in enumerate(probs):
@@ -161,7 +153,7 @@ def shannon_entropy_bits(probabilities: Sequence[float]) -> float:
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def reduced_entropy_bits(state: PairedDiagonalState) -> float:
@@ -177,4 +169,4 @@ def reduced_entropy_bits(state: PairedDiagonalState) -> float:
     rho = psi @ psi.T
     evals = np.linalg.eigvalsh(rho)
     evals = np.clip(evals, 0.0, None)
-    return float(-math.fsum(v * math.log2(v) for v in evals if v > 0.0))
+    return 0.0 - math.fsum(v * math.log2(v) for v in evals if v > 0.0)

@@ -3,24 +3,18 @@
 The squeezed vacuum distributes pair number n with the geometric law
 P_n = tanh^2n(xi) / cosh^2(xi), which contains no deformation parameter:
 its entanglement entropy depends on xi alone.  The mean photon number
-and the quadrature variances do feel the deformation; for the symmetric
-scheme the mean has a two-part closed form that this module pairs with
-the brute-force series as a cross-check.
+and the quadrature variances do feel the deformation.  Every closed form
+lives on ``GeometricLaw``; this module maps xi onto the law with
+r = tanh^2 xi and pairs the closed mean with the brute-force series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .deformation import Q_LIMIT_WINDOW, DeformationScheme
-from .geometric import (
-    DivergenceError,
-    entropy_bits_from_mean,
-    probability_cutoff,
-    weighted_series,
-)
-from .paired_state import MomentSet, quadrature_variances
+from .deformation import DeformationScheme
+from .geometric import GeometricLaw, weighted_series
 
 __all__ = [
     "SqueezedSpec",
@@ -35,21 +29,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SqueezedSpec:
-    """Real squeezing parameter xi, scheme, and truncation tolerance."""
+    """Real squeezing parameter xi, scheme, and truncation tolerance.
+
+    ``law`` is the pair-number law at r = tanh^2 xi, built on construction.
+    """
 
     xi: float
     scheme: DeformationScheme
     tail_tol: float = 1e-12
+    law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.xi):
             raise ValueError(f"squeezing parameter must be finite, got {self.xi!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
-
-    @property
-    def ratio(self) -> float:
-        return math.tanh(self.xi) ** 2
+        object.__setattr__(self, "law", GeometricLaw.from_xi(self.xi))
 
 
 def squeezed_probabilities(spec: SqueezedSpec) -> list[float]:
@@ -59,15 +54,12 @@ def squeezed_probabilities(spec: SqueezedSpec) -> list[float]:
     tail_tol, so the emitted sum is >= 1 - tail_tol.  The law never sees
     the scheme, so the output is identical for every deformation.
     """
-    r = spec.ratio
-    prefactor = 1.0 / math.cosh(spec.xi) ** 2
-    cutoff = probability_cutoff(r, spec.tail_tol)
-    return [prefactor * r**n for n in range(cutoff + 1)]
+    return spec.law.probabilities(spec.tail_tol)
 
 
 def entanglement_entropy_closed(xi: float) -> float:
-    """Entanglement entropy in bits; depends on xi only through sinh^2."""
-    return entropy_bits_from_mean(math.sinh(xi) ** 2)
+    """Entanglement entropy in bits; depends on xi only through tanh^2."""
+    return GeometricLaw.from_xi(xi).entropy_bits()
 
 
 def nbar_series(spec: SqueezedSpec) -> float:
@@ -78,44 +70,18 @@ def nbar_series(spec: SqueezedSpec) -> float:
     DivergenceError when term magnitudes stop decreasing (for the
     symmetric scheme that happens exactly when max(q, 1/q) tanh^2 xi >= 1).
     """
-    prefactor = 1.0 / math.cosh(spec.xi) ** 2
-    return weighted_series(spec.scheme, spec.ratio, spec.tail_tol, prefactor)
-
-
-def _bm_weights(q: float) -> tuple[float, float]:
-    c1 = q / (q - 1.0 / q)
-    c2 = (1.0 / q) / (1.0 / q - q)
-    return c1, c2
+    law = spec.law
+    return weighted_series(spec.scheme, law.r, spec.tail_tol, law.one_minus_r)
 
 
 def nbar_closed_bm(q: float, xi: float) -> float:
     """Closed-form mean photon number for the symmetric scheme.
 
-    With r = tanh^2 xi the weighted geometric series splits into two
-    plain ones:
-
-        nbar = (r / cosh^2 xi) * [C1 / (1 - q r) + C2 / (1 - r / q)]
-        C1 = q / (q - 1/q),  C2 = (1/q) / (1/q - q),  C1 + C2 = 1
-
-    valid for max(q, 1/q) r < 1.  The weights blow up as q -> 1, so inside
-    the scheme's own limit window the undeformed value sinh^2 xi is
-    returned; at q = 1 exactly the split does not exist and a ValueError
-    points at the undeformed form instead.
+    ``GeometricLaw.symmetric_nbar`` at r = tanh^2 xi, valid for
+    max(q, 1/q) r < 1 (DivergenceError otherwise); at q = 1 it is the
+    undeformed sinh^2 xi.
     """
-    if q <= 0.0:
-        raise ValueError(f"deformation parameter q must be positive, got {q!r}")
-    if q == 1.0:
-        raise ValueError("closed form undefined at q = 1; use sinh(xi)**2")
-    if abs(q - 1.0) < Q_LIMIT_WINDOW:
-        return math.sinh(xi) ** 2
-    r = math.tanh(xi) ** 2
-    if max(q, 1.0 / q) * r >= 1.0:
-        raise DivergenceError(
-            f"series diverges: max(q, 1/q) * tanh^2(xi) = {max(q, 1.0 / q) * r!r} >= 1"
-        )
-    c1, c2 = _bm_weights(q)
-    prefactor = r / math.cosh(xi) ** 2
-    return prefactor * (c1 / (1.0 - q * r) + c2 / (1.0 - r / q))
+    return GeometricLaw.from_xi(xi).symmetric_nbar(q)
 
 
 def squeezed_variances_from_nbar(xi: float, nbar: float) -> tuple[float, float, float]:
@@ -130,27 +96,15 @@ def squeezed_variances_from_nbar(xi: float, nbar: float) -> tuple[float, float, 
     At xi = 0 the expressions are singular and the vacuum values
     (1/4, 1/4, 1/16) are produced through the moment route instead.
     """
-    if xi == 0.0 or nbar == 0.0:
-        v1, v2 = quadrature_variances(MomentSet(0.0, 1.0, 0.0, 0.0))
-        return v1, v2, v1 * v2
-    t = math.tanh(xi)
-    var1 = 0.25 * nbar * (1.0 + t) ** 2 / t**2
-    var2 = 0.25 * nbar * (1.0 - t) ** 2 / t**2
-    product = (nbar / (4.0 * math.sinh(xi) ** 2)) ** 2
-    return var1, var2, product
+    return GeometricLaw.from_xi(xi).variances(nbar)
 
 
 def squeezed_variances_closed(q: float, xi: float) -> tuple[float, float, float]:
     """Closed-form quadrature variances for the symmetric scheme.
 
-    Uses the closed-form mean (sinh^2 xi inside the q -> 1 window); at
-    q = 1 the undeformed values reduce to var1 = e^(2 xi)/4,
-    var2 = e^(-2 xi)/4 and the minimum-uncertainty product 1/16.
+    Uses the closed-form mean; at q = 1 the values reduce to
+    var1 = e^(2 xi)/4, var2 = e^(-2 xi)/4 and the minimum-uncertainty
+    product 1/16.
     """
-    if q <= 0.0:
-        raise ValueError(f"deformation parameter q must be positive, got {q!r}")
-    if abs(q - 1.0) < Q_LIMIT_WINDOW:
-        nbar = math.sinh(xi) ** 2
-    else:
-        nbar = nbar_closed_bm(q, xi)
-    return squeezed_variances_from_nbar(xi, nbar)
+    law = GeometricLaw.from_xi(xi)
+    return law.variances(law.symmetric_nbar(q))

@@ -3,10 +3,9 @@
 Everything is parametrized by the single dimensionless number
 theta = beta * omega (inverse temperature times mode frequency, with
 hbar = k = 1): the pair-number law is the Bose-Einstein-type geometric
-P_n = (1 - e^-theta) e^(-n theta), identical in structure to the
-squeezed law under tanh^2 xi <-> e^-theta.  For the symmetric scheme the
-mean occupation splits into two Bose terms at the shifted exponents
-theta +- ln q, exposed as a record so sweeps can plot the split.
+P_n = (1 - e^-theta) e^(-n theta), the squeezed law under
+tanh^2 xi <-> e^-theta.  Every closed form lives on ``GeometricLaw``;
+this module maps theta onto the law with r = e^-theta.
 
 The second moments obey <a a+> = e^theta nbar and <a a~> = e^(theta/2)
 nbar; these are forced by the index-shift identities of the geometric
@@ -17,23 +16,16 @@ in tests confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .deformation import DeformationScheme
-from .geometric import (
-    DivergenceError,
-    entropy_bits_from_mean,
-    geometric_state,
-    probability_cutoff,
-)
-from .paired_state import MomentSet, moments, quadrature_variances
+from .geometric import GeometricLaw, geometric_state
+from .paired_state import MomentSet, moments
 
 __all__ = [
     "ThermalSpec",
-    "ThermalNbarSplit",
     "thermal_probabilities",
     "thermal_nbar_series",
-    "thermal_nbar_split",
     "thermal_nbar_closed_bm",
     "thermal_moments_closed",
     "thermal_variances_closed",
@@ -43,21 +35,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """Dimensionless inverse temperature theta = beta * omega > 0."""
+    """Dimensionless inverse temperature theta = beta * omega > 0.
+
+    ``law`` is the pair-number law at r = e^-theta, built on construction.
+    """
 
     theta: float
     scheme: DeformationScheme
     tail_tol: float = 1e-12
+    law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta <= 0.0:
             raise ValueError(f"theta must be a positive real, got {self.theta!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
-
-    @property
-    def ratio(self) -> float:
-        return math.exp(-self.theta)
+        object.__setattr__(self, "law", GeometricLaw.from_theta(self.theta))
 
 
 def thermal_probabilities(spec: ThermalSpec) -> list[float]:
@@ -67,10 +60,7 @@ def thermal_probabilities(spec: ThermalSpec) -> list[float]:
     Z = 1 / (1 - e^-theta) of the free Hamiltonian H = omega N.  As with
     squeezing, the law never sees the scheme.
     """
-    r = spec.ratio
-    prefactor = -math.expm1(-spec.theta)
-    cutoff = probability_cutoff(r, spec.tail_tol)
-    return [prefactor * r**n for n in range(cutoff + 1)]
+    return spec.law.probabilities(spec.tail_tol)
 
 
 def thermal_nbar_series(spec: ThermalSpec) -> float:
@@ -80,66 +70,18 @@ def thermal_nbar_series(spec: ThermalSpec) -> float:
     tail and reads off <a+ a>.  Raises DivergenceError when the weighted
     terms stop decreasing (symmetric scheme: theta <= |ln q|).
     """
-    state = geometric_state(spec.scheme, spec.ratio, spec.tail_tol)
+    state = geometric_state(spec.scheme, spec.law.r, spec.tail_tol)
     return moments(state, spec.scheme).adag_a
 
 
-@dataclass(frozen=True)
-class ThermalNbarSplit:
-    """Mean occupation split into two Bose terms at shifted exponents.
-
-    nbar = C1 / (e^(theta + lam) - 1) + C2 / (e^(theta - lam) - 1) with
-    lam = ln q; the exponents are the effective Boltzmann factors of the
-    two energy branches omega +- lam / beta.
-    """
-
-    nbar: float
-    exponent_plus: float  # theta + ln q
-    exponent_minus: float  # theta - ln q
-    weight_plus: float  # C1 = (q - 1) / (q - 1/q)
-    weight_minus: float  # C2 = (1 - 1/q) / (q - 1/q)
-    term_plus: float
-    term_minus: float
-
-
-def thermal_nbar_split(q: float, theta: float) -> ThermalNbarSplit:
-    """Two-part closed form of the symmetric-scheme mean occupation.
-
-    Requires theta > |ln q| (convergence of the defining series) and
-    q != 1; both weights are positive and sum to 1 for every q > 0.  The
-    weights stay in (0, 1) however close q is to 1, so no limit window is
-    needed here (the mean deviates from the undeformed one only at order
-    (ln q)^2).
-    """
-    if q <= 0.0:
-        raise ValueError(f"deformation parameter q must be positive, got {q!r}")
-    if q == 1.0:
-        raise ValueError("closed form undefined at q = 1; use 1 / (e^theta - 1)")
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    lam = math.log(q)
-    if theta <= abs(lam):
-        raise DivergenceError(
-            f"series diverges: theta = {theta!r} <= |ln q| = {abs(lam)!r}"
-        )
-    c1 = (q - 1.0) / (q - 1.0 / q)
-    c2 = (1.0 - 1.0 / q) / (q - 1.0 / q)
-    term_plus = c1 / math.expm1(theta + lam)
-    term_minus = c2 / math.expm1(theta - lam)
-    return ThermalNbarSplit(
-        nbar=term_plus + term_minus,
-        exponent_plus=theta + lam,
-        exponent_minus=theta - lam,
-        weight_plus=c1,
-        weight_minus=c2,
-        term_plus=term_plus,
-        term_minus=term_minus,
-    )
-
-
 def thermal_nbar_closed_bm(q: float, theta: float) -> float:
-    """Closed-form mean occupation for the symmetric scheme."""
-    return thermal_nbar_split(q, theta).nbar
+    """Closed-form mean occupation for the symmetric scheme.
+
+    ``GeometricLaw.symmetric_nbar`` at r = e^-theta, valid for
+    theta > |ln q| (DivergenceError otherwise); at q = 1 it is the Bose
+    mean 1 / (e^theta - 1).
+    """
+    return GeometricLaw.from_theta(theta).symmetric_nbar(q)
 
 
 def thermal_moments_closed(theta: float, nbar: float) -> MomentSet:
@@ -152,13 +94,9 @@ def thermal_moments_closed(theta: float, nbar: float) -> MomentSet:
     These are the geometric index-shift identities with r = e^-theta and
     hold for every scheme with d(0) = 0.
     """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
     if nbar < 0.0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar!r}")
-    shifted = math.exp(theta) * nbar
-    cross = math.exp(0.5 * theta) * nbar
-    return MomentSet(nbar, shifted, cross, cross)
+    return GeometricLaw.from_theta(theta).moments(nbar)
 
 
 def thermal_variances_closed(
@@ -175,23 +113,10 @@ def thermal_variances_closed(
     its values (1/4, 1/4, 1/16) are produced through the moment route to
     dodge the 0 * inf form at very large theta.
     """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    if nbar == 0.0:
-        v1, v2 = quadrature_variances(MomentSet(0.0, 1.0, 0.0, 0.0))
-        return v1, v2, v1 * v2
-    half = math.exp(0.5 * theta)
-    var1 = 0.25 * (half + 1.0) ** 2 * nbar
-    var2 = 0.25 * (half - 1.0) ** 2 * nbar
-    product = (math.expm1(theta) * nbar) ** 2 / 16.0
-    if not (math.isfinite(var1) and math.isfinite(var2) and math.isfinite(product)):
-        raise OverflowError(f"variance formulas overflowed at theta={theta!r}")
-    return var1, var2, product
+    return GeometricLaw.from_theta(theta).variances(nbar)
 
 
 def thermal_entropy_bits(theta: float) -> float:
-    """Thermal entanglement entropy in bits; the squeezed closed form with
-    the undeformed mean 1 / (e^theta - 1)."""
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    return entropy_bits_from_mean(1.0 / math.expm1(theta))
+    """Thermal entanglement entropy in bits; the squeezed closed form at
+    tanh^2 xi = e^-theta."""
+    return GeometricLaw.from_theta(theta).entropy_bits()

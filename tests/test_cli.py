@@ -79,7 +79,22 @@ def test_sweep_vacuum_row(capsys):
     assert float(row[2]) == 0.0
     assert float(row[4]) == 0.25
     assert float(row[6]) == 0.0625
+    assert row[8] == "0.0"
     assert row[9] == "0"
+
+
+@pytest.mark.parametrize("theta", [709.8, 710.0, 745.0, 746.0, 800.0])
+def test_sweep_thermal_vacuum_limit_row(capsys, theta):
+    # e^-theta is subnormal or zero here; 1/expm1(theta) and e^(theta/2)
+    # would overflow, so the row must come from the law's ratio instead
+    args = ["sweep", "thermal", "--scheme", "bm", "--q", "1.5", "--theta", str(theta)]
+    assert main(args) == 0
+    row = _rows_from_csv(capsys.readouterr().out)[0]
+    assert row[11] == "convergent"
+    assert abs(float(row[4]) - 0.25) <= 1e-12
+    assert abs(float(row[5]) - 0.25) <= 1e-12
+    assert abs(float(row[6]) - 1.0 / 16.0) <= 1e-12
+    assert 0.0 <= float(row[7]) < 1e-300
 
 
 def test_sweep_loose_tail_flags_entropy(capsys):
@@ -194,6 +209,20 @@ def test_verify_empty_list_is_usage_error(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("dims", ["513", "16,100000"])
+def test_verify_dims_above_ops_cap_is_usage_error(capsys, dims):
+    # verify certifies the operators that ops can dump, dim <= 512
+    assert main(["verify", "--dims", dims]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dims" in captured.err
+
+
+def test_verify_at_ops_cap_passes(capsys):
+    assert main(["verify", "--scheme", "bm", "--q", "2", "--dims", "512"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_verify_impossible_tolerance_fails(capsys):

@@ -202,7 +202,7 @@ def test_verify_algebra_equals_dense_products(scheme, dim):
             DeformationScheme.custom("n*(3-n)/2", 1.0), 6, ValueError, id="negative-d4"
         ),
         pytest.param(BM_TWO, 1030, OverflowError, id="overflow-in-ladder"),
-        pytest.param(BM_TWO, 1024, OverflowError, id="overflow-at-d-dim"),
+        pytest.param(BM_TWO, 1025, OverflowError, id="overflow-at-d-dim"),
     ],
 )
 def test_verify_algebra_raises_like_dense_products(scheme, dim, error):

@@ -193,12 +193,10 @@ def test_reduced_entropy_matches_shannon_on_random_states():
         ) <= 1e-12
 
 
-def test_json_wire_form_round_trips():
-    import json
-
-    from qfock import PairedDiagonalState
-
-    state = from_probabilities(geometric_probs(0.3, 24), geometric_tail(0.3, 24))
-    payload = json.loads(json.dumps(state.as_json_dict()))
-    assert set(payload) == {"coeffs", "tail_bound"}
-    assert PairedDiagonalState.from_json_dict(payload) == state
+def test_point_mass_entropy_is_positive_zero():
+    # the vacuum row prints this value, so -0.0 would show as "-0.0"
+    for value in (
+        shannon_entropy_bits([1.0]),
+        reduced_entropy_bits(from_probabilities([1.0], 0.0)),
+    ):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0

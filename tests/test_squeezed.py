@@ -19,8 +19,6 @@ from qfock import (
     squeezed_variances_closed,
     squeezed_variances_from_nbar,
 )
-from qfock.squeezed import _bm_weights
-
 from helpers import close, undeformed_nbar_squeezed
 
 UNDEFORMED = DeformationScheme.undeformed()
@@ -108,12 +106,6 @@ def test_series_divergence_detected():
         nbar_series(spec)  # q * tanh^2 xi = 1.2
 
 
-@pytest.mark.parametrize("q", [0.25, 0.5, 1.5, 2.0, 7.0])
-def test_bm_weights_sum_to_one(q):
-    c1, c2 = _bm_weights(q)
-    assert close(c1 + c2, 1.0, 1e-12)
-
-
 def test_closed_frozen_value_bm2():
     assert nbar_closed_bm(2.0, XI_R03) == pytest.approx(NBAR_BM2_R03, abs=1e-10)
 
@@ -135,8 +127,8 @@ def test_closed_continuity_toward_q1():
 
 
 def test_closed_rejects_q_one_and_divergent_domain():
-    with pytest.raises(ValueError):
-        nbar_closed_bm(1.0, 0.5)
+    # q = 1 is the undeformed oscillator, not an error
+    assert close(nbar_closed_bm(1.0, 0.5), math.sinh(0.5) ** 2, 1e-15)
     with pytest.raises(DivergenceError):
         nbar_closed_bm(4.0, XI_R03)
     with pytest.raises(ValueError):

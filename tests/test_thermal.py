@@ -1,4 +1,4 @@
-"""Thermal-vacuum law, split closed form, and the exponent-sign oracle."""
+"""Thermal-vacuum law, closed forms, and the exponent-sign oracle."""
 
 import math
 
@@ -21,12 +21,11 @@ from qfock import (
     thermal_moments_closed,
     thermal_nbar_closed_bm,
     thermal_nbar_series,
-    thermal_nbar_split,
     thermal_probabilities,
     thermal_variances_closed,
 )
 
-from helpers import undeformed_nbar_thermal
+from helpers import close, undeformed_nbar_thermal
 
 UNDEFORMED = DeformationScheme.undeformed()
 BM_TWO = DeformationScheme.biedenharn_macfarlane(2.0)
@@ -97,25 +96,9 @@ def test_series_divergence_detected():
         thermal_nbar_series(spec)
 
 
-def test_split_structure_bm2():
-    split = thermal_nbar_split(2.0, THETA_R03)
-    # C1 = 2/3 applied to e^(theta+ln 2) = 20/3 gives 2/17; C2 = 1/3 on
-    # e^(theta-ln 2) = 5/3 gives 1/2.
-    assert split.weight_plus == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert split.weight_minus == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert split.term_plus == pytest.approx(2.0 / 17.0, abs=1e-12)
-    assert split.term_minus == pytest.approx(0.5, abs=1e-12)
-    assert split.exponent_plus == pytest.approx(THETA_R03 + math.log(2.0), abs=1e-12)
-    assert split.exponent_minus == pytest.approx(THETA_R03 - math.log(2.0), abs=1e-12)
-    assert split.nbar == pytest.approx(NBAR_BM2_R03, abs=1e-12)
-
-
-@pytest.mark.parametrize("q", [0.25, 0.5, 1.5, 2.0, 7.0])
-def test_split_weights_positive_and_normalized(q):
-    split = thermal_nbar_split(q, 5.0)
-    assert split.weight_plus > 0.0
-    assert split.weight_minus > 0.0
-    assert split.weight_plus + split.weight_minus == pytest.approx(1.0, abs=1e-12)
+def test_closed_frozen_value_bm2():
+    # r = 3/10 at q = 2: 2/17 + 1/2 from the Bose terms at theta +- ln 2
+    assert thermal_nbar_closed_bm(2.0, THETA_R03) == pytest.approx(NBAR_BM2_R03, abs=1e-12)
 
 
 @pytest.mark.parametrize("q,theta", list(_convergent_grid()))
@@ -133,8 +116,8 @@ def test_closed_continuity_toward_q1():
 
 
 def test_closed_rejects_bad_domains():
-    with pytest.raises(ValueError):
-        thermal_nbar_closed_bm(1.0, 2.0)
+    # q = 1 is the undeformed oscillator, not an error
+    assert close(thermal_nbar_closed_bm(1.0, 2.0), 1.0 / math.expm1(2.0), 1e-15)
     with pytest.raises(DivergenceError):
         thermal_nbar_closed_bm(2.0, 0.5)  # theta <= ln 2
     with pytest.raises(ValueError):
