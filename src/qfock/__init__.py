@@ -12,7 +12,6 @@ from .deformation import (
     CUSTOM,
     UNDEFORMED,
     DeformationScheme,
-    d_factorial,
     eval_d,
 )
 from .expressions import (
@@ -36,8 +35,6 @@ from .geometric import (
     DivergenceError,
     GeometricLaw,
     geometric_state,
-    probability_cutoff,
-    weighted_cutoff,
     weighted_series,
 )
 from .paired_state import (
@@ -56,12 +53,10 @@ from .squeezed import (
     nbar_series,
     squeezed_probabilities,
     squeezed_variances_closed,
-    squeezed_variances_from_nbar,
 )
 from .thermal import (
     ThermalSpec,
     thermal_entropy_bits,
-    thermal_moments_closed,
     thermal_nbar_closed_bm,
     thermal_nbar_series,
     thermal_probabilities,
@@ -88,7 +83,6 @@ __all__ = [
     "TruncatedOperator",
     "annihilation_matrix",
     "creation_matrix",
-    "d_factorial",
     "entanglement_entropy_closed",
     "eval_d",
     "evaluate_tree",
@@ -100,21 +94,17 @@ __all__ = [
     "nbar_series",
     "number_matrix",
     "parse_deformation",
-    "probability_cutoff",
     "quadrature_variances",
     "reduced_entropy_bits",
     "render",
     "shannon_entropy_bits",
     "squeezed_probabilities",
     "squeezed_variances_closed",
-    "squeezed_variances_from_nbar",
     "thermal_entropy_bits",
-    "thermal_moments_closed",
     "thermal_nbar_closed_bm",
     "thermal_nbar_series",
     "thermal_probabilities",
     "thermal_variances_closed",
     "verify_algebra",
-    "weighted_cutoff",
     "weighted_series",
 ]

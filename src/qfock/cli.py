@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .deformation import CUSTOM, DeformationScheme
 from .expressions import (
@@ -44,11 +44,6 @@ from .thermal import ThermalSpec, thermal_nbar_series, thermal_probabilities
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "run_verify", "run_ops_dump", "main"]
 
-CSV_HEADER = (
-    "q,param,nbar_series,nbar_closed,var1,var2,product,"
-    "entropy_closed,entropy_series,cutoff,tail_bound,status"
-)
-
 # Flag when series and closed-form means disagree beyond this.
 _MISMATCH_TOL = 1e-8
 
@@ -56,6 +51,14 @@ _MISMATCH_TOL = 1e-8
 _MAX_DIM = 512
 
 _OPERATORS = ("annihilation", "creation", "number", "identity")
+
+# JSON types a sweep config may give the keys that are not number lists.
+_CONFIG_TYPES = {
+    "scheme": ((str,), "a string"),
+    "format": ((str,), "a string"),
+    "out": ((str, type(None)), "a string or null"),
+    "tail_tol": ((int, float), "a number"),
+}
 
 
 class _UsageError(Exception):
@@ -101,20 +104,13 @@ class ResultRow:
     status: str
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "param": self.param,
-            "nbar_series": self.nbar_series,
-            "nbar_closed": self.nbar_closed,
-            "var1": self.var1,
-            "var2": self.var2,
-            "product": self.product,
-            "entropy_closed": self.entropy_closed,
-            "entropy_series": self.entropy_series,
-            "cutoff": self.cutoff,
-            "tail_bound": self.tail_bound,
-            "status": self.status,
-        }
+        """The row keyed by ``ROW_FIELDS``, in that order (a shallow copy of
+        the instance dict, which the dataclass fills in field order)."""
+        return self.__dict__.copy()
+
+
+ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 def resolve_scheme(descriptor: str, q: float) -> DeformationScheme:
@@ -301,7 +297,12 @@ def _load_config(path: str) -> dict:
 def _pick(cli_value, config: dict, key: str, default):
     if cli_value is not None:
         return cli_value
-    return config.get(key, default)
+    value = config.get(key, default)
+    if key in _CONFIG_TYPES:
+        kinds, expected = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise _UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -424,10 +425,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExpressionError, EvaluationError, ValueError, OverflowError) as exc:
+    except (_UsageError, ExpressionError, EvaluationError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

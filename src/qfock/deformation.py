@@ -35,7 +35,6 @@ __all__ = [
     "CUSTOM",
     "DeformationScheme",
     "eval_d",
-    "d_factorial",
 ]
 
 UNDEFORMED = "undeformed"
@@ -135,16 +134,3 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
             raise OverflowError(f"deformation value overflowed at n={m} (q={scheme.q!r})")
         return value
     return evaluate_tree(scheme.expr, scheme.q, float(m))
-
-
-def d_factorial(scheme: DeformationScheme, n: int) -> float:
-    """Deformed factorial: product of d(k) for k = 1..n (1 for n = 0)."""
-    m = int(n)
-    if m != n or m < 0:
-        raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
-    total = 1.0
-    for k in range(1, m + 1):
-        total *= eval_d(scheme, k)
-        if not math.isfinite(total):
-            raise OverflowError(f"deformed factorial overflowed at n={k}")
-    return total

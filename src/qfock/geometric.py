@@ -26,9 +26,7 @@ from .paired_state import (
 __all__ = [
     "DivergenceError",
     "GeometricLaw",
-    "probability_cutoff",
     "weighted_series",
-    "weighted_cutoff",
     "geometric_state",
 ]
 

@@ -6,7 +6,9 @@ squeezed and the thermal vacuum live entirely in this sector, so states
 are stored as the coefficient sequence alone, never as the full two-mode
 tensor.  Everything here is the brute-force side of the closed forms in
 the squeezed/thermal modules: moments are plain truncated sums over the
-stored coefficients.
+stored coefficients.  The coefficients are the state's Schmidt spectrum,
+so tracing out the twin mode leaves rho = diag(c_n^2) and the
+entanglement entropy is the Shannon entropy of {c_n^2}.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .deformation import DeformationScheme, eval_d
 
@@ -153,20 +153,22 @@ def shannon_entropy_bits(probabilities: Sequence[float]) -> float:
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    return _entropy_bits(probs)
 
 
 def reduced_entropy_bits(state: PairedDiagonalState) -> float:
-    """Entanglement entropy in bits via the reduced density operator.
+    """Entanglement entropy in bits of the reduced density operator.
 
-    Assembles the two-mode amplitude matrix psi[n, m] = c_n delta_nm,
-    traces out the twin mode (rho = psi psi^T), and takes the von Neumann
-    entropy of the eigenvalues.  For diagonal pair states this equals the
-    Shannon entropy of {c_n^2}; going through the density-matrix route
-    keeps it an independent structural cross-check.
+    Tracing the twin mode out of sum_n c_n |n, n~> leaves
+    rho = diag(c_n^2): the coefficients are the Schmidt spectrum.  The von
+    Neumann entropy is read off that spectrum in O(cutoff), with no
+    two-mode matrix; the dense partial trace is kept in the tests as the
+    reference it must match bit for bit.  A point mass gives +0.0.
     """
-    psi = np.diag(np.asarray(state.coeffs, dtype=float))
-    rho = psi @ psi.T
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals, 0.0, None)
-    return 0.0 - math.fsum(v * math.log2(v) for v in evals if v > 0.0)
+    return _entropy_bits(state.probabilities())
+
+
+def _entropy_bits(probs: Sequence[float]) -> float:
+    """-sum P log2 P over the positive entries, correctly rounded (fsum),
+    so the order of the entries does not change the result."""
+    return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0.0)

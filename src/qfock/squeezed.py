@@ -22,7 +22,6 @@ __all__ = [
     "entanglement_entropy_closed",
     "nbar_series",
     "nbar_closed_bm",
-    "squeezed_variances_from_nbar",
     "squeezed_variances_closed",
 ]
 
@@ -82,21 +81,6 @@ def nbar_closed_bm(q: float, xi: float) -> float:
     undeformed sinh^2 xi.
     """
     return GeometricLaw.from_xi(xi).symmetric_nbar(q)
-
-
-def squeezed_variances_from_nbar(xi: float, nbar: float) -> tuple[float, float, float]:
-    """Quadrature variances and their product, given the mean photon number.
-
-    var1 = nbar (1 + tanh xi)^2 / (4 tanh^2 xi)
-    var2 = nbar (1 - tanh xi)^2 / (4 tanh^2 xi)
-    product = (nbar / (4 sinh^2 xi))^2
-
-    These follow from the moment identities <a a+> = nbar / tanh^2 xi and
-    <a a~> = nbar / tanh xi, which hold for every scheme with d(0) = 0.
-    At xi = 0 the expressions are singular and the vacuum values
-    (1/4, 1/4, 1/16) are produced through the moment route instead.
-    """
-    return GeometricLaw.from_xi(xi).variances(nbar)
 
 
 def squeezed_variances_closed(q: float, xi: float) -> tuple[float, float, float]:

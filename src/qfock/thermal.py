@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 
 from .deformation import DeformationScheme
 from .geometric import GeometricLaw, geometric_state
-from .paired_state import MomentSet, moments
+from .paired_state import moments
 
 __all__ = [
     "ThermalSpec",
     "thermal_probabilities",
     "thermal_nbar_series",
     "thermal_nbar_closed_bm",
-    "thermal_moments_closed",
     "thermal_variances_closed",
     "thermal_entropy_bits",
 ]
@@ -82,21 +81,6 @@ def thermal_nbar_closed_bm(q: float, theta: float) -> float:
     mean 1 / (e^theta - 1).
     """
     return GeometricLaw.from_theta(theta).symmetric_nbar(q)
-
-
-def thermal_moments_closed(theta: float, nbar: float) -> MomentSet:
-    """Second moments of the thermal vacuum from its mean occupation.
-
-        <a+ a>  = nbar
-        <a a+>  = e^theta nbar
-        <a a~>  = <a+ a~+> = e^(theta/2) nbar
-
-    These are the geometric index-shift identities with r = e^-theta and
-    hold for every scheme with d(0) = 0.
-    """
-    if nbar < 0.0:
-        raise ValueError(f"mean occupation must be nonnegative, got {nbar!r}")
-    return GeometricLaw.from_theta(theta).moments(nbar)
 
 
 def thermal_variances_closed(

@@ -124,3 +124,18 @@ def dense_algebra_residuals(scheme, dim):
             a_adag - q_scaled - q_pow, a_adag, q_scaled, q_pow
         )
     return residuals
+
+
+def dense_reduced_entropy_bits(state):
+    """Reference for ``reduced_entropy_bits``: the von Neumann entropy of
+    the reduced density matrix, formed densely.
+
+    Assembles the two-mode amplitude matrix psi[n, m] = c_n delta_nm,
+    traces out the twin mode (rho = psi psi^T), and takes the entropy of
+    the eigenvalues, O(cutoff^2) memory and O(cutoff^3) time.
+    """
+    psi = np.diag(np.asarray(state.coeffs, dtype=float))
+    rho = psi @ psi.T
+    evals = np.linalg.eigvalsh(rho)
+    evals = np.clip(evals, 0.0, None)
+    return 0.0 - math.fsum(v * math.log2(v) for v in evals if v > 0.0)

@@ -184,6 +184,28 @@ def test_sweep_config_errors(tmp_path, capsys):
     assert main(["sweep", "squeezed", "--xi", "1", "--config", str(missing)]) == 3
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("scheme", 5), ("scheme", None), ("tail_tol", None), ("tail_tol", True), ("out", 7)],
+)
+def test_sweep_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
+    # out = 7 must not reach open(), which would take it as a file descriptor
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["sweep", "squeezed", "--xi", "1", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert repr(key) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_row_dict_keys_follow_csv_header():
+    rows = run_sweep(SweepSpec("thermal", "bm", (2.0,), (0.5, 1.0)))
+    for row in rows:
+        assert ",".join(row.as_dict()) == CSV_HEADER
+
+
 def test_verify_passes_for_builtin_schemes(capsys):
     assert main(["verify", "--scheme", "undeformed", "--dims", "16,64"]) == 0
     out = capsys.readouterr().out

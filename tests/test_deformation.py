@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from qfock import DeformationScheme, d_factorial, eval_d, parse_deformation
+from qfock import DeformationScheme, eval_d, parse_deformation
 
-from helpers import bm_reference, close
+from helpers import close
 
 BM_TEXT = "(q^n - q^(-n))/(q - q^(-1))"
 
@@ -62,28 +62,6 @@ def test_custom_bm_text_matches_builtin(q):
         assert close(eval_d(custom, n), eval_d(builtin, n), 1e-12)
 
 
-def test_factorial_base_cases():
-    assert d_factorial(DeformationScheme.undeformed(), 0) == 1.0
-    assert d_factorial(DeformationScheme.undeformed(), 4) == pytest.approx(24.0)
-    # 1 * 2.5 * 5.25
-    assert d_factorial(DeformationScheme.biedenharn_macfarlane(2.0), 3) == pytest.approx(
-        13.125, abs=1e-12
-    )
-
-
-@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
-def test_factorial_ratio_recovers_d(scheme):
-    for n in range(1, 31):
-        ratio = d_factorial(scheme, n) / d_factorial(scheme, n - 1)
-        assert close(ratio, eval_d(scheme, n), 1e-12)
-
-
-def test_factorial_overflow_names_offending_index():
-    scheme = DeformationScheme.biedenharn_macfarlane(2.0)
-    with pytest.raises(OverflowError, match=r"overflowed at n=\d+"):
-        d_factorial(scheme, 2000)
-
-
 def test_eval_overflow_at_huge_n():
     scheme = DeformationScheme.biedenharn_macfarlane(2.0)
     with pytest.raises(OverflowError):
@@ -100,8 +78,6 @@ def test_nonpositive_q_rejected(q):
 def test_bad_occupation_number_rejected(bad_n):
     with pytest.raises(ValueError):
         eval_d(DeformationScheme.undeformed(), bad_n)
-    with pytest.raises(ValueError):
-        d_factorial(DeformationScheme.undeformed(), bad_n)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Parser and evaluator tests for deformation expressions."""
 
-import math
-
 import pytest
 
 from qfock.expressions import (

@@ -1,6 +1,7 @@
 """Paired diagonal states: moments, variances, entropies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from qfock import (
     DeformationScheme,
     MomentSet,
+    SqueezedSpec,
+    ThermalSpec,
     annihilation_matrix,
-    eval_d,
     from_probabilities,
     geometric_state,
     identity_matrix,
@@ -17,9 +19,17 @@ from qfock import (
     quadrature_variances,
     reduced_entropy_bits,
     shannon_entropy_bits,
+    squeezed_probabilities,
+    thermal_probabilities,
 )
 
-from helpers import close, geometric_probs, geometric_tail, tensor_pair
+from helpers import (
+    close,
+    dense_reduced_entropy_bits,
+    geometric_probs,
+    geometric_tail,
+    tensor_pair,
+)
 
 UNDEFORMED = DeformationScheme.undeformed()
 BM_TWO = DeformationScheme.biedenharn_macfarlane(2.0)
@@ -200,3 +210,79 @@ def test_point_mass_entropy_is_positive_zero():
         reduced_entropy_bits(from_probabilities([1.0], 0.0)),
     ):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+TAIL_TOL = 1e-12
+
+
+def _random_states():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        raw = rng.uniform(0.0, 1.0, size=12)
+        yield from_probabilities((raw / raw.sum()).tolist(), 0.0)
+
+
+def _family_state(family, value):
+    if family == "xi":
+        probs = squeezed_probabilities(SqueezedSpec(value, UNDEFORMED, TAIL_TOL))
+    else:
+        probs = thermal_probabilities(ThermalSpec(value, UNDEFORMED, TAIL_TOL))
+    return from_probabilities(probs, TAIL_TOL)
+
+
+# Cutoffs 50 .. 1105; xi = 0 and theta >= 709.8 are point masses.
+@pytest.mark.parametrize(
+    "family,value",
+    [("xi", xi) for xi in (0.0, 1.0, 1.5, 2.0, 2.4)]
+    + [("theta", theta) for theta in (0.5, 0.1, 0.05, 0.025, 709.8, 746.0)],
+)
+def test_reduced_entropy_equals_dense_partial_trace_on_family_states(family, value):
+    state = _family_state(family, value)
+    assert state.cutoff == 0 or 50 <= state.cutoff <= 1200
+    assert reduced_entropy_bits(state) == dense_reduced_entropy_bits(state)
+
+
+def test_reduced_entropy_equals_dense_partial_trace_on_random_states():
+    for state in _random_states():
+        assert reduced_entropy_bits(state) == dense_reduced_entropy_bits(state)
+
+
+def _product_basis_entropy(state):
+    """Entropy of the physical mode after tracing the twin out of the full
+    two-mode state sum_n c_n e_n (x) e_n in the (N+1)^2 product basis."""
+    dim = state.cutoff + 1
+    psi = np.zeros(dim * dim)
+    for n, c in enumerate(state.coeffs):
+        psi[n * dim + n] = c
+    amp = psi.reshape(dim, dim)  # amp[physical, twin]
+    rho = np.einsum("ij,kl->ijkl", amp, amp)  # |psi><psi| indexed [i, j; k, l]
+    reduced = np.einsum("ijkj->ik", rho)
+    evals = np.linalg.eigvalsh(reduced)
+    return -sum(v * math.log2(v) for v in evals if v > 1e-300)
+
+
+@pytest.mark.parametrize(
+    "family,value", [("xi", 0.1), ("xi", 0.3), ("theta", 2.0), ("theta", 3.0)]
+)
+def test_reduced_entropy_matches_product_basis_partial_trace(family, value):
+    state = _family_state(family, value)
+    assert 0 < state.cutoff <= 16
+    assert abs(reduced_entropy_bits(state) - _product_basis_entropy(state)) <= 1e-12
+
+
+def test_reduced_entropy_matches_product_basis_partial_trace_on_random_states():
+    for state in _random_states():
+        assert abs(reduced_entropy_bits(state) - _product_basis_entropy(state)) <= 1e-12
+
+
+def test_reduced_entropy_memory_stays_linear_in_cutoff():
+    # xi = 3 has 2,787 coefficients; a dense rho would be two 62 MB arrays.
+    state = _family_state("xi", 3.0)
+    assert len(state.coeffs) == 2787
+    tracemalloc.start()
+    try:
+        reduced_entropy_bits(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -7,6 +7,7 @@ import pytest
 from qfock import (
     DeformationScheme,
     DivergenceError,
+    GeometricLaw,
     SqueezedSpec,
     entanglement_entropy_closed,
     geometric_state,
@@ -17,7 +18,6 @@ from qfock import (
     shannon_entropy_bits,
     squeezed_probabilities,
     squeezed_variances_closed,
-    squeezed_variances_from_nbar,
 )
 from helpers import close, undeformed_nbar_squeezed
 
@@ -149,7 +149,7 @@ def test_variances_frozen_product_bm2():
 
 def test_variances_at_zero_squeezing_take_moment_route():
     assert squeezed_variances_closed(2.0, 0.0) == (0.25, 0.25, 0.0625)
-    assert squeezed_variances_from_nbar(0.0, 0.0) == (0.25, 0.25, 0.0625)
+    assert GeometricLaw.from_xi(0.0).variances(0.0) == (0.25, 0.25, 0.0625)
 
 
 @pytest.mark.parametrize("q,xi", list(_convergent_grid()))

@@ -7,6 +7,7 @@ import pytest
 from qfock import (
     DeformationScheme,
     DivergenceError,
+    GeometricLaw,
     SqueezedSpec,
     ThermalSpec,
     entanglement_entropy_closed,
@@ -16,9 +17,7 @@ from qfock import (
     quadrature_variances,
     shannon_entropy_bits,
     squeezed_probabilities,
-    squeezed_variances_from_nbar,
     thermal_entropy_bits,
-    thermal_moments_closed,
     thermal_nbar_closed_bm,
     thermal_nbar_series,
     thermal_probabilities,
@@ -127,7 +126,7 @@ def test_closed_rejects_bad_domains():
 def test_moments_closed_bose_identity():
     theta = math.log(2.0)
     nbar = undeformed_nbar_thermal(theta)
-    m = thermal_moments_closed(theta, nbar)
+    m = GeometricLaw.from_theta(theta).moments(nbar)
     assert m.adag_a == pytest.approx(1.0, abs=1e-12)
     assert m.a_adag == pytest.approx(2.0, abs=1e-12)  # <a a+> = <a+ a> + 1 at q = 1
     assert m.a_atilde == m.adag_atildedag
@@ -135,7 +134,7 @@ def test_moments_closed_bose_identity():
 
 @pytest.mark.parametrize("theta", [0.7, 1.5, 3.0])
 def test_moments_closed_ratio_identity(theta):
-    m = thermal_moments_closed(theta, 0.37)
+    m = GeometricLaw.from_theta(theta).moments(0.37)
     assert m.a_adag * math.exp(-theta) == pytest.approx(m.adag_a, abs=1e-12)
     assert m.a_atilde * math.exp(-0.5 * theta) == pytest.approx(m.adag_a, abs=1e-12)
 
@@ -145,14 +144,14 @@ def test_moments_closed_match_state_route(q, theta):
     scheme = DeformationScheme.biedenharn_macfarlane(q)
     state = geometric_state(scheme, math.exp(-theta), 1e-13)
     oracle = moments(state, scheme)
-    closed = thermal_moments_closed(theta, oracle.adag_a)
+    closed = GeometricLaw.from_theta(theta).moments(oracle.adag_a)
     assert abs(closed.a_adag - oracle.a_adag) <= 1e-10
     assert abs(closed.a_atilde - oracle.a_atilde) <= 1e-10
 
 
 def test_moments_closed_zero_temperature_limit():
     theta = 50.0
-    m = thermal_moments_closed(theta, undeformed_nbar_thermal(theta))
+    m = GeometricLaw.from_theta(theta).moments(undeformed_nbar_thermal(theta))
     assert m.adag_a == pytest.approx(0.0, abs=1e-10)
     assert m.a_adag == pytest.approx(1.0, abs=1e-10)
     assert m.a_atilde == pytest.approx(0.0, abs=1e-10)
@@ -160,9 +159,7 @@ def test_moments_closed_zero_temperature_limit():
 
 def test_moments_closed_validation():
     with pytest.raises(ValueError):
-        thermal_moments_closed(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_moments_closed(1.0, -0.1)
+        GeometricLaw.from_theta(0.0)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
@@ -233,7 +230,7 @@ def test_squeezed_thermal_correspondence(theta):
         nbar_th = thermal_nbar_series(th)
         assert abs(nbar_sq - nbar_th) <= 1e-12
 
-        v_sq = squeezed_variances_from_nbar(xi, nbar_sq)
+        v_sq = GeometricLaw.from_xi(xi).variances(nbar_sq)
         v_th = thermal_variances_closed(theta, nbar_th)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(v_sq, v_th))
 
