@@ -8,6 +8,10 @@ Subcommands::
     qfock ops annihilation --scheme undeformed --dim 4
     qfock parse "(q^n - q^(-n))/(q - q^(-1))" [--q 2 --n 3]
 
+Number lists come from flag text ("0.5,2") or from the JSON object of a
+sweep's ``--config`` (keys: the sweep options; flags win).  Every q, for
+every scheme, and ``verify --tol`` must be finite and positive.
+
 Exit codes: 0 success, 1 usage/parse error, 2 verification failure,
 3 I/O error.  Sweep output is deterministic: fixed row order (q-major,
 parameter-minor) and shortest round-trip number formatting, so repeated
@@ -19,17 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
 from .deformation import CUSTOM, DeformationScheme
-from .expressions import (
-    EvaluationError,
-    ExpressionError,
-    evaluate_tree,
-    parse_deformation,
-    render,
-)
+from .expressions import EvaluationError, evaluate_tree, parse_deformation, render
 from .fock_matrix import (
     annihilation_matrix,
     creation_matrix,
@@ -52,17 +51,16 @@ _MAX_DIM = 512
 
 _OPERATORS = ("annihilation", "creation", "number", "identity")
 
-# JSON types a sweep config may give the keys that are not number lists.
+# The keys a sweep config may hold, and the JSON types each may take.
 _CONFIG_TYPES = {
     "scheme": ((str,), "a string"),
+    "q": ((str, int, float, list), "a string, a number or a list"),
+    "xi": ((str, int, float, list), "a string, a number or a list"),
+    "theta": ((str, int, float, list), "a string, a number or a list"),
+    "tail_tol": ((int, float), "a number"),
     "format": ((str,), "a string"),
     "out": ((str, type(None)), "a string or null"),
-    "tail_tol": ((int, float), "a number"),
 }
-
-
-class _UsageError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,6 @@ class SweepSpec:
     q_values: tuple[float, ...]
     param_values: tuple[float, ...]  # xi for squeezed, theta for thermal
     tail_tol: float = 1e-12
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self):
         if self.family not in ("squeezed", "thermal"):
@@ -84,8 +80,6 @@ class SweepSpec:
             raise ValueError("q and parameter value lists must be non-empty")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -114,16 +108,16 @@ CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 def resolve_scheme(descriptor: str, q: float) -> DeformationScheme:
-    """Map a CLI scheme descriptor to a DeformationScheme."""
+    """Map a CLI scheme descriptor to a DeformationScheme; q must be finite and > 0."""
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"q must be finite and positive, got {q!r}")
     if descriptor == "undeformed":
         return DeformationScheme.undeformed()
     if descriptor in ("bm", "biedenharn-macfarlane"):
         return DeformationScheme.biedenharn_macfarlane(q)
     if descriptor.startswith("expr:"):
         return DeformationScheme.custom(descriptor[len("expr:") :], q)
-    raise _UsageError(
-        f"unknown scheme {descriptor!r} (use undeformed, bm, or expr:<text>)"
-    )
+    raise ValueError(f"unknown scheme {descriptor!r} (use undeformed, bm, or expr:<text>)")
 
 
 def _compute_row(
@@ -242,11 +236,11 @@ def run_verify(
 def run_ops_dump(descriptor: str, q: float, dim: int, operator: str) -> str:
     """JSON dump of one truncated operator matrix."""
     if operator not in _OPERATORS:
-        raise _UsageError(
+        raise ValueError(
             f"unknown operator {operator!r} (choose from {', '.join(_OPERATORS)})"
         )
     if not 1 <= dim <= _MAX_DIM:
-        raise _UsageError(f"dim must lie between 1 and {_MAX_DIM}, got {dim}")
+        raise ValueError(f"dim must lie between 1 and {_MAX_DIM}, got {dim}")
     scheme = resolve_scheme(descriptor, q)
     if operator == "annihilation":
         op = annihilation_matrix(scheme, dim)
@@ -266,20 +260,24 @@ def run_ops_dump(descriptor: str, q: float, dim: int, operator: str) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    try:
-        return tuple(float(s) for s in str(text).split(",") if s.strip())
-    except ValueError as exc:
-        raise _UsageError(f"invalid number list {text!r}") from exc
-
-
-def _parse_int_list(text) -> list[int]:
-    try:
-        return [int(s) for s in str(text).split(",") if s.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"invalid integer list {text!r}") from exc
+def _numbers(value, name: str, kind=float) -> tuple:
+    """Flag text ("0.5,2"), a JSON number, or a JSON list of numbers or
+    numeric text, as a non-empty tuple of ``kind``; errors name ``name``."""
+    if isinstance(value, str):
+        value = [s for s in value.split(",") if s.strip()]
+    elif not isinstance(value, list):
+        value = [] if value is None else [value]
+    if not value:
+        raise ValueError(f"{name} needs at least one value")
+    numbers = []
+    for item in value:
+        try:
+            if isinstance(item, bool):  # kind(True) would read as 1
+                raise TypeError
+            numbers.append(kind(item))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{name} takes {kind.__name__} values, got {item!r}") from None
+    return tuple(numbers)
 
 
 def _load_config(path: str) -> dict:
@@ -288,21 +286,24 @@ def _load_config(path: str) -> dict:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"invalid config {path!r}: {exc}") from exc
+        raise ValueError(f"invalid config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
-        raise _UsageError(f"config {path!r} must hold a JSON object")
+        raise ValueError(f"config {path!r} must hold a JSON object")
     return data
 
 
-def _pick(cli_value, config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    value = config.get(key, default)
-    if key in _CONFIG_TYPES:
+def _pick(args, config: dict, key: str, default, read=None):
+    """The flag's value, else the config's (its JSON type checked), else the
+    default; ``read(value, name)`` converts it, naming where it came from."""
+    value, name = getattr(args, key), "--" + key.replace("_", "-")
+    if value is None and key in config:
+        value, name = config[key], f"config key {key!r}"
         kinds, expected = _CONFIG_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, kinds):
-            raise _UsageError(f"config key {key!r} must be {expected}, got {value!r}")
-    return value
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
+    elif value is None:
+        value = default
+    return value if read is None else read(value, name)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -315,47 +316,36 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    if args.family == "squeezed":
-        if args.theta is not None:
-            raise _UsageError("use --xi with squeezed sweeps")
-        params = _pick(args.xi, config, "xi", None)
-        key = "xi"
-    else:
-        if args.xi is not None:
-            raise _UsageError("use --theta with thermal sweeps")
-        params = _pick(args.theta, config, "theta", None)
-        key = "theta"
-    if params is None:
-        raise _UsageError(f"missing --{key} values for a {args.family} sweep")
-    try:
-        spec = SweepSpec(
-            family=args.family,
-            scheme=_pick(args.scheme, config, "scheme", "undeformed"),
-            q_values=_parse_float_list(_pick(args.q, config, "q", "1")),
-            param_values=_parse_float_list(params),
-            tail_tol=float(_pick(args.tail_tol, config, "tail_tol", 1e-12)),
-            fmt=_pick(args.format, config, "format", "csv"),
-            out=_pick(args.out, config, "out", None),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    for name in config:
+        if name not in _CONFIG_TYPES:
+            raise ValueError(f"config key {name!r} is not a sweep option")
+    key, other = ("xi", "theta") if args.family == "squeezed" else ("theta", "xi")
+    if getattr(args, other) is not None:
+        raise ValueError(f"use --{key} with {args.family} sweeps")
+    fmt = _pick(args, config, "format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    out = _pick(args, config, "out", None)
+    spec = SweepSpec(
+        family=args.family,
+        scheme=_pick(args, config, "scheme", "undeformed"),
+        q_values=_pick(args, config, "q", "1", _numbers),
+        param_values=_pick(args, config, key, None, _numbers),
+        tail_tol=float(_pick(args, config, "tail_tol", 1e-12)),
+    )
     rows = run_sweep(spec)
-    text = render_csv(rows) if spec.fmt == "csv" else render_json(rows)
-    _emit(text, spec.out)
+    _emit(render_csv(rows) if fmt == "csv" else render_json(rows), out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    q_values = list(_parse_float_list(args.q))
-    dims = _parse_int_list(args.dims)
-    if not q_values:
-        raise _UsageError("verify needs at least one --q value")
-    if not dims:
-        raise _UsageError("verify needs at least one --dims value")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
+    dims = list(_numbers(args.dims, "--dims", int))
     bad = [d for d in dims if not 2 <= d <= _MAX_DIM]
     if bad:
-        raise _UsageError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
-    text, code = run_verify(args.scheme, q_values, dims, args.tol)
+        raise ValueError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
+    text, code = run_verify(args.scheme, list(_numbers(args.q, "--q")), dims, args.tol)
     sys.stdout.write(text)
     return code
 
@@ -370,7 +360,7 @@ def _cmd_parse(args) -> int:
     payload = {"source": args.expression, "canonical": render(tree)}
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
-            raise _UsageError("--q and --n must be given together")
+            raise ValueError("--q and --n must be given together")
         payload["value"] = evaluate_tree(tree, args.q, float(args.n))
     sys.stdout.write(json.dumps(payload) + "\n")
     return 0
@@ -378,7 +368,7 @@ def _cmd_parse(args) -> int:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -425,7 +415,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, ExpressionError, EvaluationError, ValueError, OverflowError) as exc:
+    except (ValueError, EvaluationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

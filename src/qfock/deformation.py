@@ -93,14 +93,8 @@ class DeformationScheme:
         return cls(BIEDENHARN_MACFARLANE, q)
 
     @classmethod
-    def custom(cls, source: str | ExpressionTree, q: float) -> "DeformationScheme":
-        if isinstance(source, str):
-            tree = parse_deformation(source)
-            text = source
-        else:
-            tree = source
-            text = render(source)
-        return cls(CUSTOM, q, tree, text)
+    def custom(cls, source: str, q: float) -> "DeformationScheme":
+        return cls(CUSTOM, q, parse_deformation(source), source)
 
     @cached_property
     def lam(self) -> float:

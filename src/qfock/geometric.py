@@ -169,7 +169,7 @@ def _weighted_scan(
     scheme: DeformationScheme,
     ratio: float,
     tol: float,
-    prefactor: float | None = None,
+    prefactor: float,
 ) -> tuple[float, int]:
     """Adaptively sum d(n) * prefactor * ratio^n; return (total, last index).
 
@@ -181,7 +181,6 @@ def _weighted_scan(
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
-    pref = (1.0 - ratio) if prefactor is None else prefactor
     if ratio == 0.0:
         return 0.0, 0
     terms = []
@@ -190,7 +189,7 @@ def _weighted_scan(
     growth_run = 0
     zero_run = 0
     for n in range(_MAX_TERMS):
-        t = eval_d(scheme, n) * pref * ratio**n
+        t = eval_d(scheme, n) * prefactor * ratio**n
         terms.append(t)
         running += t
         mag = abs(t)
@@ -226,15 +225,15 @@ def weighted_series(
     scheme: DeformationScheme,
     ratio: float,
     tol: float,
-    prefactor: float | None = None,
+    prefactor: float,
 ) -> float:
-    """Sum of d(n) * prefactor * ratio^n (prefactor defaults to 1 - ratio)."""
+    """Sum of d(n) * prefactor * ratio^n."""
     return _weighted_scan(scheme, ratio, tol, prefactor)[0]
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     """Index beyond which d-weighted geometric terms are negligible."""
-    return _weighted_scan(scheme, ratio, tol)[1]
+    return _weighted_scan(scheme, ratio, tol, 1.0 - ratio)[1]
 
 
 def geometric_state(

@@ -2,13 +2,30 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from qfock.cli import CSV_HEADER, ResultRow, SweepSpec, main, render_json, run_sweep
+from qfock.cli import (
+    CSV_HEADER,
+    ResultRow,
+    SweepSpec,
+    main,
+    render_json,
+    resolve_scheme,
+    run_sweep,
+)
 
 XI_UNIT = 1.0
 THETA_R03 = math.log(10.0 / 3.0)
+
+
+def _assert_usage_error(captured, name):
+    # exit 1 is checked by the caller; the message must name the bad input
+    assert captured.err.startswith("error:")
+    assert name in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _rows_from_csv(text):
@@ -186,7 +203,21 @@ def test_sweep_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("scheme", 5), ("scheme", None), ("tail_tol", None), ("tail_tol", True), ("out", 7)],
+    [
+        ("scheme", 5),
+        ("scheme", None),
+        ("tail_tol", None),
+        ("tail_tol", True),
+        ("out", 7),
+        ("q", [None]),
+        ("q", [True]),
+        ("q", [[1]]),
+        ("q", [2, "x"]),
+        ("q", []),
+        ("q", {}),
+        ("tail-tol", 0.5),
+        ("Q", [2]),
+    ],
 )
 def test_sweep_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
     # out = 7 must not reach open(), which would take it as a file descriptor
@@ -198,6 +229,66 @@ def test_sweep_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, 
     assert repr(key) in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_sweep_config_number_lists_take_text_numbers_and_lists(tmp_path, capsys):
+    # one file may carry both families' parameters; each sweep reads its own
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"q": [0.5, "2"], "xi": "0.1,1", "theta": 3}))
+    assert main(["sweep", "squeezed", "--config", str(config)]) == 0
+    rows = _rows_from_csv(capsys.readouterr().out)
+    assert [(r[0], r[1]) for r in rows] == [
+        ("0.5", "0.1"),
+        ("0.5", "1.0"),
+        ("2.0", "0.1"),
+        ("2.0", "1.0"),
+    ]
+    assert main(["sweep", "thermal", "--config", str(config)]) == 0
+    rows = _rows_from_csv(capsys.readouterr().out)
+    assert [(r[0], r[1]) for r in rows] == [("0.5", "3.0"), ("2.0", "3.0")]
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "0", "-1"])
+def test_sweep_nonpositive_or_nonfinite_q_is_usage_error(capsys, q):
+    # the undeformed law ignores q, but a row would still print it as the grid's q
+    assert main(["sweep", "squeezed", "--scheme", "undeformed", "--q", q, "--xi", "1"]) == 1
+    _assert_usage_error(capsys.readouterr(), "q must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--q", "-3"],
+        ["ops", "number", "--q", "0", "--dim", "3"],
+    ],
+)
+def test_verify_and_ops_reject_bad_q(capsys, argv):
+    assert main(argv) == 1
+    _assert_usage_error(capsys.readouterr(), "q must be finite and positive")
+
+
+@pytest.mark.parametrize("descriptor", ["undeformed", "bm", "expr:n"])
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0])
+def test_resolve_scheme_checks_q_for_every_descriptor(descriptor, q):
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        resolve_scheme(descriptor, q)
+
+
+def test_library_errors_are_value_errors():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        resolve_scheme("mystery", 1.0)
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        run_sweep(SweepSpec("squeezed", "undeformed", (math.nan,), (1.0,)))
+
+
+def test_sweep_spec_holds_what_run_sweep_reads():
+    assert [f.name for f in fields(SweepSpec)] == [
+        "family",
+        "scheme",
+        "q_values",
+        "param_values",
+        "tail_tol",
+    ]
 
 
 def test_row_dict_keys_follow_csv_header():
@@ -245,6 +336,13 @@ def test_verify_dims_above_ops_cap_is_usage_error(capsys, dims):
 def test_verify_at_ops_cap_passes(capsys):
     assert main(["verify", "--scheme", "bm", "--q", "2", "--dims", "512"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_bad_tolerance_is_usage_error(capsys, tol):
+    # nan, 0 and -1 fail even exact residuals; inf passes any residual
+    assert main(["verify", "--dims", "16", "--tol", tol]) == 1
+    _assert_usage_error(capsys.readouterr(), "--tol")
 
 
 def test_verify_impossible_tolerance_fails(capsys):
