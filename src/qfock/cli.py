@@ -22,6 +22,7 @@ in the status column instead of aborting the batch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -136,7 +137,9 @@ def _compute_row(
     cutoff = len(probs) - 1
     tail_bound = law.r ** (cutoff + 1)
 
-    flags = []
+    # The probability cutoff is the smallest one meeting tail_tol, or the
+    # term cap; only a capped one leaves a larger tail.
+    flags = ["cutoff-capped"] if tail_bound > tail_tol else []
     convergent = True
     series = None
     try:
@@ -371,7 +374,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
     parser = _ArgumentParser(prog="qfock", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,12 +13,18 @@ to 1; only q = 1 itself, where the form reads 0/0, returns n directly.
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
 downstream assumes d(0) = 0 and d(1) = 1.
+
+Each scheme instance carries its own column d(0), d(1), ..., filled by
+``eval_d`` on demand and shared by everything that reads the scheme, so a
+sweep that resolves one scheme per q evaluates each d(n) of that column
+once.  ``eval_d`` is the only code that computes a value, so the column
+holds exactly the bits a direct call returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .expressions import (
@@ -50,13 +56,17 @@ class DeformationScheme:
     """An immutable deformation law d(n) together with its parameter q.
 
     Use the classmethod constructors; q must be a positive finite real for
-    every kind.  Instances are safe to share between threads.
+    every kind.  Instances are safe to share between threads: the column
+    behind ``d_values`` only ever grows, and index n always holds d(n).
     """
 
     kind: str
     q: float = 1.0
     expr: ExpressionTree | None = None
     source: str | None = None
+    _column: list[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -100,6 +110,25 @@ class DeformationScheme:
     def lam(self) -> float:
         """lam = ln q, the parameter of the sinh form of the symmetric law."""
         return math.log(self.q)
+
+    def d_values(self, count: int) -> list[float]:
+        """The column d(0), d(1), ..., grown by ``eval_d`` to at least
+        ``count`` values, in order, and returned itself (read-only; it may
+        already be longer).  If d(n) fails, d(0..n-1) are kept and the
+        error propagates; the next call that needs d(n) raises it again.
+        """
+        column = self._column
+        start = len(column)
+        if start < count:
+            new = []
+            try:
+                for n in range(start, count):
+                    new.append(eval_d(self, n))
+            finally:
+                # Another thread may have grown the column meanwhile; the
+                # values agree, so the slice only ever lengthens it.
+                column[start : start + len(new)] = new
+        return column
 
     @property
     def label(self) -> str:

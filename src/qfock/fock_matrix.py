@@ -24,12 +24,11 @@ keeps one tolerance meaningful at every dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import BIEDENHARN_MACFARLANE, DeformationScheme, eval_d
+from .deformation import BIEDENHARN_MACFARLANE, DeformationScheme
 
 __all__ = [
     "TruncatedOperator",
@@ -64,16 +63,19 @@ class TruncatedOperator:
 
 
 def _ladder_values(scheme: DeformationScheme, dim: int) -> np.ndarray:
-    values = np.empty(max(dim - 1, 0))
-    for n in range(dim - 1):
-        d = eval_d(scheme, n + 1)
-        if d < 0.0:
+    """sqrt(d(n)) for n = 1..dim-1, from the scheme's column.  The column
+    grows one value at a time, each sign-checked before the next is taken,
+    so a negative d(n) is reported before any later d fails."""
+    d = scheme.d_values(0)
+    for n in range(1, dim):
+        if n >= len(d):
+            scheme.d_values(n + 1)
+        if d[n] < 0.0:
             raise ValueError(
-                f"deformation value d({n + 1}) = {d!r} is negative; "
+                f"deformation value d({n}) = {d[n]!r} is negative; "
                 "ladder entries need d >= 0"
             )
-        values[n] = math.sqrt(d)
-    return values
+    return np.sqrt(d[1:dim])
 
 
 def annihilation_matrix(scheme: DeformationScheme, dim: int) -> TruncatedOperator:
@@ -153,7 +155,7 @@ def verify_algebra(scheme: DeformationScheme, dim: int, tol: float) -> AlgebraRe
     if dim < 2:
         raise ValueError(f"need dim >= 2 to form an interior block, got {dim}")
     s = annihilation_matrix(scheme, dim).entries.diagonal(1)
-    d = np.array([eval_d(scheme, n) for n in range(dim + 1)])
+    d = np.array(scheme.d_values(dim + 1)[: dim + 1])
     d_n, d_n1 = d[:-1], d[1:]
 
     # Diagonals of a+ a and a a+, and the bands N a+ = a N = (k+1) s and

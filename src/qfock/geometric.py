@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .deformation import DeformationScheme, eval_d
+from .deformation import DeformationScheme
 from .paired_state import (
     MomentSet,
     PairedDiagonalState,
@@ -150,7 +150,9 @@ class GeometricLaw(NamedTuple):
 
 
 def probability_cutoff(ratio: float, tail_tol: float) -> int:
-    """Smallest N with geometric tail ratio^(N+1) <= tail_tol."""
+    """Smallest N with geometric tail ratio^(N+1) <= tail_tol, capped at
+    _MAX_TERMS (200,000); past the cap the tail ratio^(N+1) exceeds
+    tail_tol, which is how a caller tells a capped cutoff."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     if not 0.0 < tail_tol < 1.0:
@@ -162,7 +164,7 @@ def probability_cutoff(ratio: float, tail_tol: float) -> int:
         n += 1
     while n > 0 and ratio**n <= tail_tol:
         n -= 1
-    return n
+    return min(n, _MAX_TERMS)
 
 
 def _weighted_scan(
@@ -170,27 +172,34 @@ def _weighted_scan(
     ratio: float,
     tol: float,
     prefactor: float,
-) -> tuple[float, int]:
-    """Adaptively sum d(n) * prefactor * ratio^n; return (total, last index).
+) -> tuple[list[float], int]:
+    """Adaptively scan d(n) * prefactor * ratio^n; return (terms, last index).
 
     Terms are accumulated until both the current term and the estimated
     geometric tail drop below tol relative to the running magnitude.  A term
     magnitude that fails to decrease over 32 consecutive steps is reported
     as divergence (this catches growth ratios >= 1 without any scheme-
-    specific analysis, so custom laws are handled uniformly).
+    specific analysis, so custom laws are handled uniformly).  d(n) is read
+    from the scheme's column, grown one value at a time, so the scan never
+    evaluates a d(n) past the index it stops at.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     if ratio == 0.0:
-        return 0.0, 0
+        return [], 0
+    d = scheme.d_values(0)
+    known = len(d)
     terms = []
+    append = terms.append
     running = 0.0
     prev_mag = 0.0
     growth_run = 0
     zero_run = 0
     for n in range(_MAX_TERMS):
-        t = eval_d(scheme, n) * prefactor * ratio**n
-        terms.append(t)
+        if n >= known:
+            known = len(scheme.d_values(n + 1))
+        t = d[n] * prefactor * ratio**n
+        append(t)
         running += t
         mag = abs(t)
         if prev_mag > 0.0 and mag >= prev_mag:
@@ -204,19 +213,22 @@ def _weighted_scan(
                 )
         else:
             growth_run = 0
-        if n >= 1:
-            scale = max(1.0, abs(running))
             if mag == 0.0:
-                zero_run += 1
-                if zero_run >= 4:  # law vanished or ratio^n underflowed
-                    return math.fsum(terms), n
+                if n >= 1:
+                    zero_run += 1
+                    if zero_run >= 4:  # law vanished or ratio^n underflowed
+                        return terms, n
             else:
                 zero_run = 0
-                if prev_mag > 0.0 and mag < prev_mag:
-                    rho = mag / prev_mag
-                    tail = mag * rho / (1.0 - rho)
-                    if mag < tol * scale and tail < tol * scale:
-                        return math.fsum(terms), n
+                # Only a decreasing term can stop the scan (so prev_mag > 0
+                # and n >= 1), and only once it is below the limit is the
+                # tail estimate worth forming.
+                if mag < prev_mag:
+                    limit = tol * max(1.0, abs(running))
+                    if mag < limit:
+                        rho = mag / prev_mag
+                        if mag * rho / (1.0 - rho) < limit:
+                            return terms, n
         prev_mag = mag
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
 
@@ -228,7 +240,7 @@ def weighted_series(
     prefactor: float,
 ) -> float:
     """Sum of d(n) * prefactor * ratio^n."""
-    return _weighted_scan(scheme, ratio, tol, prefactor)[0]
+    return math.fsum(_weighted_scan(scheme, ratio, tol, prefactor)[0])
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .deformation import DeformationScheme, eval_d
+from .deformation import DeformationScheme
 
 __all__ = [
     "PairedDiagonalState",
@@ -112,10 +112,11 @@ def moments(state: PairedDiagonalState, scheme: DeformationScheme) -> MomentSet:
     orthogonality of the pair basis.
     """
     c = state.coeffs
-    d = [eval_d(scheme, n) for n in range(len(c) + 1)]
-    adag_a = math.fsum(d[n] * c[n] * c[n] for n in range(len(c)))
-    a_adag = math.fsum(d[n + 1] * c[n] * c[n] for n in range(len(c)))
-    cross = math.fsum(d[n] * c[n - 1] * c[n] for n in range(1, len(c)))
+    d = scheme.d_values(len(c) + 1)  # the column; it may hold more values
+    d_next = d[1 : len(c) + 1]
+    adag_a = math.fsum(dn * cn * cn for dn, cn in zip(d, c))
+    a_adag = math.fsum(dn * cn * cn for dn, cn in zip(d_next, c))
+    cross = math.fsum(dn * cp * cn for dn, cp, cn in zip(d_next, c, c[1:]))
     return MomentSet(adag_a, a_adag, cross, cross)
 
 

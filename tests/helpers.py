@@ -1,4 +1,5 @@
-"""Small shared test utilities, and the dense-matrix reference routes."""
+"""Small shared test utilities, the dense-matrix reference routes, and the
+per-call ``eval_d`` references for the routes that read a scheme's column."""
 
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 
 from qfock import (
     BIEDENHARN_MACFARLANE,
+    DivergenceError,
+    MomentSet,
     TruncatedOperator,
     annihilation_matrix,
     creation_matrix,
@@ -139,3 +142,62 @@ def dense_reduced_entropy_bits(state):
     evals = np.linalg.eigvalsh(rho)
     evals = np.clip(evals, 0.0, None)
     return 0.0 - math.fsum(v * math.log2(v) for v in evals if v > 0.0)
+
+
+def reference_weighted_scan(scheme, ratio, tol, prefactor):
+    """Reference for the adaptive d-weighted scan: (fsum of terms, last index).
+
+    The scan as it was before schemes carried a column: every term calls
+    ``eval_d`` afresh, and the stop test forms its scale and tail estimate
+    on every term.
+    """
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    if ratio == 0.0:
+        return 0.0, 0
+    terms = []
+    running = 0.0
+    prev_mag = 0.0
+    growth_run = 0
+    zero_run = 0
+    for n in range(200_000):
+        t = eval_d(scheme, n) * prefactor * ratio**n
+        terms.append(t)
+        running += t
+        mag = abs(t)
+        if prev_mag > 0.0 and mag >= prev_mag:
+            growth_run += 1
+            if growth_run >= 32:
+                rho = mag / prev_mag
+                raise DivergenceError(
+                    f"series terms stopped decreasing (term ratio {rho:.6g} >= 1 "
+                    f"sustained over 32 terms)",
+                    ratio=rho,
+                )
+        else:
+            growth_run = 0
+        if n >= 1:
+            scale = max(1.0, abs(running))
+            if mag == 0.0:
+                zero_run += 1
+                if zero_run >= 4:
+                    return math.fsum(terms), n
+            else:
+                zero_run = 0
+                if prev_mag > 0.0 and mag < prev_mag:
+                    rho = mag / prev_mag
+                    tail = mag * rho / (1.0 - rho)
+                    if mag < tol * scale and tail < tol * scale:
+                        return math.fsum(terms), n
+        prev_mag = mag
+    raise DivergenceError("series did not settle within 200000 terms")
+
+
+def reference_moments(state, scheme):
+    """Reference for ``moments``: d(0..cutoff+1) by one ``eval_d`` call each."""
+    c = state.coeffs
+    d = [eval_d(scheme, n) for n in range(len(c) + 1)]
+    adag_a = math.fsum(d[n] * c[n] * c[n] for n in range(len(c)))
+    a_adag = math.fsum(d[n + 1] * c[n] * c[n] for n in range(len(c)))
+    cross = math.fsum(d[n] * c[n - 1] * c[n] for n in range(1, len(c)))
+    return MomentSet(adag_a, a_adag, cross, cross)

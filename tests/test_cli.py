@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -119,6 +120,36 @@ def test_sweep_loose_tail_flags_entropy(capsys):
     row = _rows_from_csv(capsys.readouterr().out)[0]
     assert "entropy-skipped" in row[11]
     assert row[8] == ""
+
+
+@pytest.mark.parametrize("family,param", [("squeezed", 9.5), ("thermal", 1e-7)])
+def test_sweep_cell_past_the_term_cap_is_one_flagged_row(family, param):
+    # uncapped, these cutoffs ask for 1.2e9 and 2.8e8 probabilities
+    spec = SweepSpec(family, "undeformed", (1.0,), (param,))
+    tracemalloc.start()
+    try:
+        rows = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1
+    row = rows[0]
+    assert "cutoff-capped" in row.status.split(";")
+    assert row.cutoff == 200_000
+    assert row.tail_bound > spec.tail_tol
+    assert peak < 32 * 2**20
+
+
+def test_natural_cutoff_at_the_cap_is_not_flagged():
+    # r^(N + 1) = tol at N = 200,000.5: the smallest N meeting tol is the cap
+    tol = 1e-12
+    theta = -math.log(tol) / 200_000.5
+    r = math.exp(-theta)
+    assert r**200_001 <= tol < r**200_000
+    row = run_sweep(SweepSpec("thermal", "undeformed", (1.0,), (theta,), tol))[0]
+    assert row.cutoff == 200_000
+    assert row.tail_bound <= tol
+    assert "cutoff-capped" not in row.status.split(";")
 
 
 def test_sweep_flags_series_closed_disagreement(capsys):
@@ -403,3 +434,15 @@ def test_parse_eval_needs_both_flags(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["warp"]) == 1
     assert main([]) == 1
+
+
+def test_valid_call_after_a_rejected_flag_is_unchanged(capsys):
+    # main reuses one parser; a call it rejected must leave nothing behind
+    valid = ["sweep", "thermal", "--scheme", "bm", "--q", "1.3", "--theta", "1,2"]
+    assert main(valid) == 0
+    alone = capsys.readouterr()
+    for bad in (["sweep", "thermal", "--bogus", "1"], ["sweep", "thermal", "--format", "xml"]):
+        assert main(bad) == 1
+        _assert_usage_error(capsys.readouterr(), "error:")
+        assert main(valid) == 0
+        assert capsys.readouterr() == alone
