@@ -5,41 +5,29 @@ deformed oscillator algebra, squeezed and thermal vacua over a doubled
 number basis, and the closed-form expressions for their mean occupation,
 quadrature fluctuations and entanglement entropy, each paired with a
 brute-force truncated-sum oracle.
+
+The namespace holds what the command line and the acceptance criteria
+read; result types, scheme kinds, ``eval_d`` and ``weighted_series`` are
+imported from their own modules.
 """
 
-from .deformation import (
-    BIEDENHARN_MACFARLANE,
-    CUSTOM,
-    UNDEFORMED,
-    DeformationScheme,
-    eval_d,
-)
+from .deformation import DeformationScheme
 from .expressions import (
     EvaluationError,
     ExpressionError,
-    ExpressionTree,
     evaluate_tree,
     parse_deformation,
     render,
 )
 from .fock_matrix import (
-    AlgebraReport,
-    TruncatedOperator,
     annihilation_matrix,
     creation_matrix,
     identity_matrix,
     number_matrix,
     verify_algebra,
 )
-from .geometric import (
-    DivergenceError,
-    GeometricLaw,
-    geometric_state,
-    weighted_series,
-)
+from .geometric import DivergenceError, GeometricLaw, geometric_state
 from .paired_state import (
-    MomentSet,
-    PairedDiagonalState,
     from_probabilities,
     moments,
     quadrature_variances,
@@ -66,25 +54,16 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BIEDENHARN_MACFARLANE",
-    "CUSTOM",
-    "UNDEFORMED",
-    "AlgebraReport",
     "DeformationScheme",
     "DivergenceError",
     "EvaluationError",
     "ExpressionError",
-    "ExpressionTree",
     "GeometricLaw",
-    "MomentSet",
-    "PairedDiagonalState",
     "SqueezedSpec",
     "ThermalSpec",
-    "TruncatedOperator",
     "annihilation_matrix",
     "creation_matrix",
     "entanglement_entropy_closed",
-    "eval_d",
     "evaluate_tree",
     "from_probabilities",
     "geometric_state",
@@ -106,5 +85,4 @@ __all__ = [
     "thermal_probabilities",
     "thermal_variances_closed",
     "verify_algebra",
-    "weighted_series",
 ]

@@ -220,7 +220,11 @@ def render_json(rows: list[ResultRow]) -> str:
 def run_verify(
     descriptor: str, q_values: list[float], dims: list[int], tol: float
 ) -> tuple[str, int]:
-    """Residual report over (q, dim) pairs; exit code 0 iff all pass tol."""
+    """Residual report over (q, dim) pairs, each dim in [2, 512] (checked
+    before any scheme is built); exit code 0 iff all pass tol."""
+    bad = [d for d in dims if not 2 <= d <= _MAX_DIM]
+    if bad:
+        raise ValueError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
     lines = []
     all_passed = True
     for q in q_values:
@@ -345,9 +349,6 @@ def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     dims = list(_numbers(args.dims, "--dims", int))
-    bad = [d for d in dims if not 2 <= d <= _MAX_DIM]
-    if bad:
-        raise ValueError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
     text, code = run_verify(args.scheme, list(_numbers(args.q, "--q")), dims, args.tol)
     sys.stdout.write(text)
     return code

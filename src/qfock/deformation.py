@@ -9,7 +9,7 @@ generalization
 
 is invariant under q <-> 1/q and reduces to n as q -> 1.  It is evaluated
 in the sinh form, which keeps full relative precision however close q is
-to 1; only q = 1 itself, where the form reads 0/0, returns n directly.
+to 1; only q = 1 itself (the undeformed scheme) returns n directly.
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
 downstream assumes d(0) = 0 and d(1) = 1.
@@ -81,6 +81,8 @@ class DeformationScheme:
             self._probe()
         elif self.expr is not None:
             raise ValueError(f"{self.kind} scheme takes no expression")
+        if self.kind == UNDEFORMED and q != 1.0:
+            raise ValueError(f"undeformed scheme has q = 1, got {self.q!r}")
 
     def _probe(self):
         for n, want in ((0, 0.0), (1, 1.0)):
@@ -143,17 +145,15 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
     m = int(n)
     if m != n or m < 0:
         raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
-    if scheme.kind == UNDEFORMED:
+    if scheme.kind == CUSTOM:
+        return evaluate_tree(scheme.expr, scheme.q, float(m))
+    lam = scheme.lam
+    if lam == 0.0:
         return float(m)
-    if scheme.kind == BIEDENHARN_MACFARLANE:
-        lam = scheme.lam
-        if lam == 0.0:
-            return float(m)
-        try:
-            value = math.sinh(m * lam) / math.sinh(lam)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise OverflowError(f"deformation value overflowed at n={m} (q={scheme.q!r})")
-        return value
-    return evaluate_tree(scheme.expr, scheme.q, float(m))
+    try:
+        value = math.sinh(m * lam) / math.sinh(lam)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"deformation value overflowed at n={m} (q={scheme.q!r})")
+    return value

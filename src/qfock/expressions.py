@@ -235,7 +235,9 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
         value = _eval(tree, q, n)
     except ZeroDivisionError as exc:
         raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
+        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
+    except ValueError as exc:
         raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
     if isinstance(value, complex) or not math.isfinite(value):
         raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")

@@ -6,8 +6,9 @@ r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
 on it: the probabilities, the mean under the symmetric deformation, the
 second moments and quadrature variances, and the entropy.  The squeezed
 and thermal modules only map their physical parameter onto a law.  This
-module also owns cutoff selection and the adaptive d-weighted series
-summation with divergence detection.
+module also owns cutoff selection, the adaptive d-weighted series
+summation with divergence detection, and ``geometric_state``, the paired
+state whose moments give the thermal series mean.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import math
 from typing import NamedTuple
 
 from .deformation import DeformationScheme
-from .paired_state import (
-    MomentSet,
-    PairedDiagonalState,
-    from_probabilities,
-    quadrature_variances,
-)
+from .paired_state import MomentSet, PairedDiagonalState, from_probabilities
 
 __all__ = [
     "DivergenceError",
@@ -125,13 +121,12 @@ class GeometricLaw(NamedTuple):
             var2 = <a a+> (1 - sqrt r)^2 / 4
             product = (<a a+> (1 - r) / 4)^2
 
-        with <a a+> = nbar / r (see ``moments``).  The vacuum's values
-        (1/4, 1/4, 1/16) come through the moment route, where the forms
-        would read 0 * inf.  Raises OverflowError on a non-finite result.
+        with <a a+> = nbar / r (see ``moments``).  The vacuum returns
+        (1/4, 1/4, 1/16) directly, where the forms would read 0 * inf.
+        Raises OverflowError on a non-finite result.
         """
         if nbar == 0.0 or self.r == 0.0:
-            var1, var2 = quadrature_variances(self.moments(0.0))
-            return var1, var2, var1 * var2
+            return 0.25, 0.25, 0.0625
         a_adag = nbar / self.r
         var1 = 0.25 * a_adag * (1.0 + self.sqrt_r) ** 2
         var2 = 0.25 * a_adag * self.one_minus_sqrt_r**2

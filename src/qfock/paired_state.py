@@ -8,7 +8,9 @@ tensor.  Everything here is the brute-force side of the closed forms in
 the squeezed/thermal modules: moments are plain truncated sums over the
 stored coefficients.  The coefficients are the state's Schmidt spectrum,
 so tracing out the twin mode leaves rho = diag(c_n^2) and the
-entanglement entropy is the Shannon entropy of {c_n^2}.
+entanglement entropy is the Shannon entropy of {c_n^2}.  A state checks
+its own normalization when it is built; ``from_probabilities`` checks
+only each entry, before its square root.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ class PairedDiagonalState:
         if any(c < 0.0 or not math.isfinite(c) for c in self.coeffs):
             raise ValueError("coefficients must be finite and nonnegative")
         total = math.fsum(c * c for c in self.coeffs)
-        if total > 1.0 + _NORM_SLOP or total < 1.0 - self.tail_bound - _NORM_SLOP:
+        if total > 1.0 + _NORM_SLOP:
+            raise ValueError(f"squared coefficients sum to {total!r} > 1")
+        if 1.0 - total > self.tail_bound + _NORM_SLOP:
             raise ValueError(
-                f"squared coefficients sum to {total!r}, outside "
-                f"[1 - {self.tail_bound!r} - 1e-12, 1 + 1e-12]"
+                f"mass deficit {1.0 - total!r} exceeds tail bound {self.tail_bound!r}"
             )
 
     @property
@@ -80,22 +83,9 @@ class MomentSet:
 def from_probabilities(
     probabilities: Sequence[float], tail_bound: float
 ) -> PairedDiagonalState:
-    """Build the state with c_n = sqrt(P_n).
-
-    P must be nonnegative, sum to at most 1 (+1e-12 slack), and leave no
-    more than ``tail_bound`` of mass unaccounted for.
-    """
-    probs = [float(p) for p in probabilities]
-    for n, p in enumerate(probs):
-        if p < 0.0 or not math.isfinite(p):
-            raise ValueError(f"negative probability P[{n}] = {p!r}")
-    total = math.fsum(probs)
-    if total > 1.0 + _NORM_SLOP:
-        raise ValueError(f"probabilities sum to {total!r} > 1")
-    if 1.0 - total > tail_bound + _NORM_SLOP:
-        raise ValueError(
-            f"mass deficit {1.0 - total!r} exceeds tail bound {tail_bound!r}"
-        )
+    """Build the state with c_n = sqrt(P_n); each P_n must be finite and
+    nonnegative, and the state checks their sum against ``tail_bound``."""
+    probs = _checked(probabilities)
     return PairedDiagonalState(tuple(math.sqrt(p) for p in probs), tail_bound)
 
 
@@ -147,10 +137,7 @@ def shannon_entropy_bits(probabilities: Sequence[float]) -> float:
     The sequence must be a distribution: nonnegative, total within 1e-9
     of 1.  A point mass gives +0.0, never -0.0.
     """
-    probs = [float(p) for p in probabilities]
-    for n, p in enumerate(probs):
-        if p < 0.0 or not math.isfinite(p):
-            raise ValueError(f"negative probability P[{n}] = {p!r}")
+    probs = _checked(probabilities)
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -167,6 +154,15 @@ def reduced_entropy_bits(state: PairedDiagonalState) -> float:
     reference it must match bit for bit.  A point mass gives +0.0.
     """
     return _entropy_bits(state.probabilities())
+
+
+def _checked(probabilities: Sequence[float]) -> list[float]:
+    """The entries as floats, each checked finite and nonnegative."""
+    probs = [float(p) for p in probabilities]
+    for n, p in enumerate(probs):
+        if p < 0.0 or not math.isfinite(p):
+            raise ValueError(f"negative probability P[{n}] = {p!r}")
+    return probs
 
 
 def _entropy_bits(probs: Sequence[float]) -> float:

@@ -93,9 +93,9 @@ def thermal_variances_closed(
     product = (e^theta - 1)^2 nbar^2 / 16
 
     At q = 1 (nbar = 1/(e^theta - 1)) the product collapses to the
-    minimum-uncertainty value 1/16.  A mean of exactly zero is the vacuum;
-    its values (1/4, 1/4, 1/16) are produced through the moment route to
-    dodge the 0 * inf form at very large theta.
+    minimum-uncertainty value 1/16.  A mean of exactly zero is the vacuum,
+    whose values (1/4, 1/4, 1/16) are returned directly, with no 0 * inf
+    form at very large theta.
     """
     return GeometricLaw.from_theta(theta).variances(nbar)
 

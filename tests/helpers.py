@@ -5,16 +5,10 @@ import math
 
 import numpy as np
 
-from qfock import (
-    BIEDENHARN_MACFARLANE,
-    DivergenceError,
-    MomentSet,
-    TruncatedOperator,
-    annihilation_matrix,
-    creation_matrix,
-    eval_d,
-    number_matrix,
-)
+from qfock import DivergenceError, annihilation_matrix, creation_matrix, number_matrix
+from qfock.deformation import BIEDENHARN_MACFARLANE, eval_d
+from qfock.fock_matrix import TruncatedOperator
+from qfock.paired_state import MomentSet
 
 
 def close(a, b, tol):

@@ -15,6 +15,7 @@ from qfock.cli import (
     render_json,
     resolve_scheme,
     run_sweep,
+    run_verify,
 )
 
 XI_UNIT = 1.0
@@ -26,6 +27,11 @@ def _assert_usage_error(captured, name):
     assert captured.err.startswith("error:")
     assert name in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _assert_one_error_line(captured, line):
+    assert captured.err == line + "\n"
     assert captured.out == ""
 
 
@@ -233,6 +239,20 @@ def test_sweep_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content,line",
+    [
+        ("[1]", "error: config {path!r} must hold a JSON object"),
+        ('{"format": "xml"}', "error: unknown output format 'xml'"),
+    ],
+)
+def test_sweep_config_array_or_unknown_format_is_usage_error(tmp_path, capsys, content, line):
+    config = tmp_path / "sweep.json"
+    config.write_text(content)
+    assert main(["sweep", "squeezed", "--xi", "1", "--config", str(config)]) == 1
+    _assert_one_error_line(capsys.readouterr(), line.format(path=str(config)))
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("scheme", 5),
@@ -364,6 +384,17 @@ def test_verify_dims_above_ops_cap_is_usage_error(capsys, dims):
     assert "--dims" in captured.err
 
 
+def test_run_verify_checks_dims_before_building_anything():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="between 2 and 512, got 100000"):
+            run_verify("undeformed", [1.0], [16, 100000], 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_verify_at_ops_cap_passes(capsys):
     assert main(["verify", "--scheme", "bm", "--q", "2", "--dims", "512"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
@@ -405,6 +436,15 @@ def test_ops_creation_is_transpose_of_annihilation(capsys):
     assert cre == [list(col) for col in zip(*ann)]
 
 
+def test_ops_identity_dump(capsys):
+    assert main(["ops", "identity", "--dim", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert main(["ops", "identity"]) == 1
+    _assert_one_error_line(
+        capsys.readouterr(), "error: the following arguments are required: --dim"
+    )
+
+
 def test_ops_usage_errors(capsys):
     assert main(["ops", "teleporter", "--dim", "3"]) == 1
     assert main(["ops", "number", "--dim", "513"]) == 1
@@ -425,6 +465,26 @@ def test_parse_with_evaluation(capsys):
 def test_parse_error_has_position_and_exit_one(capsys):
     assert main(["parse", "q + "]) == 1
     assert "position 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["parse", "exp(n)", "--q", "2", "--n", "2000"], "error: overflow at q=2.0, n=2000.0"),
+        (
+            ["parse", "n*1e308", "--q", "2", "--n", "10"],
+            "error: non-finite value inf at q=2.0, n=10.0",
+        ),
+        (
+            ["sweep", "squeezed", "--scheme", "expr:(q^n - q^(-n))/(q - q^(-1))"]
+            + ["--q", "2", "--xi", "0.87"],
+            "error: overflow at q=2.0, n=1024.0",
+        ),
+    ],
+)
+def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):
+    assert main(argv) == 1
+    _assert_one_error_line(capsys.readouterr(), line)
 
 
 def test_parse_eval_needs_both_flags(capsys):

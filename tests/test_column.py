@@ -13,14 +13,13 @@ from qfock import (
     DeformationScheme,
     EvaluationError,
     annihilation_matrix,
-    eval_d,
     geometric_state,
     moments,
     verify_algebra,
-    weighted_series,
 )
+from qfock.deformation import eval_d
 from qfock.cli import SweepSpec, run_sweep
-from qfock.geometric import weighted_cutoff
+from qfock.geometric import weighted_cutoff, weighted_series
 
 from helpers import reference_moments, reference_weighted_scan
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from qfock import DeformationScheme, eval_d, parse_deformation
+from qfock import DeformationScheme, parse_deformation
+from qfock.deformation import eval_d
 
 from helpers import close
 
@@ -119,6 +120,14 @@ def test_scheme_field_validation():
         DeformationScheme("undeformed", 1.0, expr=parse_deformation("n"))
     with pytest.raises(ValueError):
         DeformationScheme("mystery", 1.0)
+
+
+def test_undeformed_scheme_has_q_one():
+    # eval_d reads the undeformed scheme as the symmetric law at lam = ln q = 0
+    with pytest.raises(ValueError, match="undeformed scheme has q = 1"):
+        DeformationScheme("undeformed", 2.0)
+    scheme = DeformationScheme("undeformed", 1)
+    assert [eval_d(scheme, n) for n in range(4)] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_labels():

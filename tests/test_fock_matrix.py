@@ -9,11 +9,11 @@ from qfock import (
     DeformationScheme,
     annihilation_matrix,
     creation_matrix,
-    eval_d,
     identity_matrix,
     number_matrix,
     verify_algebra,
 )
+from qfock.deformation import eval_d
 
 from helpers import (
     commutator,

@@ -8,7 +8,6 @@ import pytest
 
 from qfock import (
     DeformationScheme,
-    MomentSet,
     SqueezedSpec,
     ThermalSpec,
     annihilation_matrix,
@@ -22,6 +21,7 @@ from qfock import (
     squeezed_probabilities,
     thermal_probabilities,
 )
+from qfock.paired_state import MomentSet
 
 from helpers import (
     close,

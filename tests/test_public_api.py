@@ -3,25 +3,16 @@
 import qfock
 
 PUBLIC_NAMES = [
-    "AlgebraReport",
-    "BIEDENHARN_MACFARLANE",
-    "CUSTOM",
     "DeformationScheme",
     "DivergenceError",
     "EvaluationError",
     "ExpressionError",
-    "ExpressionTree",
     "GeometricLaw",
-    "MomentSet",
-    "PairedDiagonalState",
     "SqueezedSpec",
     "ThermalSpec",
-    "TruncatedOperator",
-    "UNDEFORMED",
     "annihilation_matrix",
     "creation_matrix",
     "entanglement_entropy_closed",
-    "eval_d",
     "evaluate_tree",
     "from_probabilities",
     "geometric_state",
@@ -43,12 +34,11 @@ PUBLIC_NAMES = [
     "thermal_probabilities",
     "thermal_variances_closed",
     "verify_algebra",
-    "weighted_series",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(qfock.__all__) == PUBLIC_NAMES
 
 
