@@ -12,7 +12,8 @@ in the sinh form, which keeps full relative precision however close q is
 to 1; only q = 1 itself (the undeformed scheme) returns n directly.
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
-downstream assumes d(0) = 0 and d(1) = 1.
+downstream assumes d(0) = 0 and d(1) = 1, and compiled once per scheme
+on first evaluation.
 
 Each scheme instance carries its own column d(0), d(1), ..., filled by
 ``eval_d`` on demand and shared by everything that reads the scheme, so a
@@ -26,10 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .expressions import (
     EvaluationError,
     ExpressionTree,
+    _compile,
     evaluate_tree,
     parse_deformation,
     render,
@@ -113,6 +116,18 @@ class DeformationScheme:
         """lam = ln q, the parameter of the sinh form of the symmetric law."""
         return math.log(self.q)
 
+    @cached_property
+    def _compiled_expr(self) -> Callable[[float, float], float]:
+        """A custom law's tree, compiled once and called for every d(n)."""
+        return _compile(self.expr)
+
+    def __getstate__(self) -> dict:
+        # The compiled law is a closure, which cannot be pickled; an
+        # unpickled scheme compiles its own on first use.
+        state = self.__dict__.copy()
+        state.pop("_compiled_expr", None)
+        return state
+
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown by ``eval_d`` to at least
         ``count`` values, in order, and returned itself (read-only; it may
@@ -146,7 +161,7 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
     if m != n or m < 0:
         raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
     if scheme.kind == CUSTOM:
-        return evaluate_tree(scheme.expr, scheme.q, float(m))
+        return scheme._compiled_expr(scheme.q, float(m))
     lam = scheme.lam
     if lam == 0.0:
         return float(m)

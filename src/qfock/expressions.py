@@ -13,6 +13,12 @@ Grammar (whitespace insignificant, ASCII only)::
 Parsing is total: trailing input after a complete expression is an error.
 Trees are immutable and evaluation is pure, so parsed expressions can be
 shared freely between concurrent callers.
+
+A tree is evaluated by compiling it into nested Python closures, one per
+node, that do a tree walk's float operations in the walk's order, so the
+values and error messages are those of walking the tree.  A deformation
+scheme compiles its law once and calls the result for every d(n);
+``evaluate_tree`` compiles afresh on each call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "ExpressionError",
@@ -231,42 +237,62 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
     Raises EvaluationError when the arithmetic leaves the finite reals
     (division by zero, domain errors, overflow, complex powers).
     """
-    try:
-        value = _eval(tree, q, n)
-    except ZeroDivisionError as exc:
-        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
-    except OverflowError as exc:
-        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
-    except ValueError as exc:
-        raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
-    if isinstance(value, complex) or not math.isfinite(value):
-        raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")
-    return value
+    return _compile(tree)(q, n)
 
 
-def _eval(node: ExpressionTree, q: float, n: float) -> float:
+def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
+    """The tree as a function of (q, n) that returns exactly what
+    ``evaluate_tree`` returns and raises exactly what it raises."""
+    value_at = _closure(tree)
+
+    def law(q: float, n: float) -> float:
+        try:
+            value = value_at(q, n)
+        except ZeroDivisionError as exc:
+            raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
+        except OverflowError as exc:
+            raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
+        except ValueError as exc:
+            raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")
+        return value
+
+    return law
+
+
+def _closure(node: ExpressionTree) -> Callable[[float, float], float]:
+    """Nested closures doing a tree walk's float operations in its order:
+    the left operand before the right, then the operator."""
     if isinstance(node, Number):
-        return node.value
+        value = node.value
+        return lambda q, n: value
     if isinstance(node, Variable):
-        return q if node.name == "q" else n
+        return (lambda q, n: q) if node.name == "q" else (lambda q, n: n)
     if isinstance(node, Negate):
-        return -_eval(node.operand, q, n)
+        operand = _closure(node.operand)
+        return lambda q, n: -operand(q, n)
     if isinstance(node, FunctionCall):
-        return FUNCTIONS[node.name](_eval(node.argument, q, n))
-    left = _eval(node.left, q, n)
-    right = _eval(node.right, q, n)
+        function, argument = FUNCTIONS[node.name], _closure(node.argument)
+        return lambda q, n: function(argument(q, n))
+    left, right = _closure(node.left), _closure(node.right)
     if node.op == "+":
-        return left + right
+        return lambda q, n: left(q, n) + right(q, n)
     if node.op == "-":
-        return left - right
+        return lambda q, n: left(q, n) - right(q, n)
     if node.op == "*":
-        return left * right
+        return lambda q, n: left(q, n) * right(q, n)
     if node.op == "/":
-        return left / right
-    result = left**right
-    if isinstance(result, complex):
-        raise EvaluationError(f"complex power {left!r} ^ {right!r}")
-    return result
+        return lambda q, n: left(q, n) / right(q, n)
+
+    def power(q: float, n: float) -> float:
+        base, exponent = left(q, n), right(q, n)
+        result = base**exponent
+        if isinstance(result, complex):
+            raise EvaluationError(f"complex power {base!r} ^ {exponent!r}")
+        return result
+
+    return power
 
 
 def render(tree: ExpressionTree) -> str:

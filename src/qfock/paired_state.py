@@ -16,6 +16,7 @@ only each entry, before its square root.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,9 +49,10 @@ class PairedDiagonalState:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("state needs at least the vacuum coefficient")
-        if any(c < 0.0 or not math.isfinite(c) for c in self.coeffs):
+        c = self.coeffs
+        if not all(map(math.isfinite, c)) or min(c) < 0.0:
             raise ValueError("coefficients must be finite and nonnegative")
-        total = math.fsum(c * c for c in self.coeffs)
+        total = math.fsum(map(operator.mul, c, c))
         if total > 1.0 + _NORM_SLOP:
             raise ValueError(f"squared coefficients sum to {total!r} > 1")
         if 1.0 - total > self.tail_bound + _NORM_SLOP:
@@ -86,7 +88,7 @@ def from_probabilities(
     """Build the state with c_n = sqrt(P_n); each P_n must be finite and
     nonnegative, and the state checks their sum against ``tail_bound``."""
     probs = _checked(probabilities)
-    return PairedDiagonalState(tuple(math.sqrt(p) for p in probs), tail_bound)
+    return PairedDiagonalState(tuple(map(math.sqrt, probs)), tail_bound)
 
 
 def moments(state: PairedDiagonalState, scheme: DeformationScheme) -> MomentSet:
@@ -158,10 +160,12 @@ def reduced_entropy_bits(state: PairedDiagonalState) -> float:
 
 def _checked(probabilities: Sequence[float]) -> list[float]:
     """The entries as floats, each checked finite and nonnegative."""
-    probs = [float(p) for p in probabilities]
-    for n, p in enumerate(probs):
-        if p < 0.0 or not math.isfinite(p):
-            raise ValueError(f"negative probability P[{n}] = {p!r}")
+    probs = list(map(float, probabilities))
+    if not all(map(math.isfinite, probs)) or min(probs, default=0.0) < 0.0:
+        # This test fails exactly when some entry does; the loop names the first.
+        for n, p in enumerate(probs):
+            if p < 0.0 or not math.isfinite(p):
+                raise ValueError(f"negative probability P[{n}] = {p!r}")
     return probs
 
 

@@ -1,5 +1,6 @@
-"""Small shared test utilities, the dense-matrix reference routes, and the
-per-call ``eval_d`` references for the routes that read a scheme's column."""
+"""Small shared test utilities, the dense-matrix reference routes, the
+per-call ``eval_d`` references for the routes that read a scheme's column,
+and the tree-walking reference for compiled expressions."""
 
 import math
 
@@ -7,6 +8,14 @@ import numpy as np
 
 from qfock import DivergenceError, annihilation_matrix, creation_matrix, number_matrix
 from qfock.deformation import BIEDENHARN_MACFARLANE, eval_d
+from qfock.expressions import (
+    FUNCTIONS,
+    EvaluationError,
+    FunctionCall,
+    Negate,
+    Number,
+    Variable,
+)
 from qfock.fock_matrix import TruncatedOperator
 from qfock.paired_state import MomentSet
 
@@ -195,3 +204,44 @@ def reference_moments(state, scheme):
     a_adag = math.fsum(d[n + 1] * c[n] * c[n] for n in range(len(c)))
     cross = math.fsum(d[n] * c[n - 1] * c[n] for n in range(1, len(c)))
     return MomentSet(adag_a, a_adag, cross, cross)
+
+
+def reference_evaluate_tree(tree, q, n):
+    """Reference for ``evaluate_tree``: a recursive walk of the tree, with
+    the error mapping ``evaluate_tree`` applies to it."""
+    try:
+        value = _reference_eval(tree, q, n)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
+    except OverflowError as exc:
+        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
+    except ValueError as exc:
+        raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")
+    return value
+
+
+def _reference_eval(node, q, n):
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return q if node.name == "q" else n
+    if isinstance(node, Negate):
+        return -_reference_eval(node.operand, q, n)
+    if isinstance(node, FunctionCall):
+        return FUNCTIONS[node.name](_reference_eval(node.argument, q, n))
+    left = _reference_eval(node.left, q, n)
+    right = _reference_eval(node.right, q, n)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        return left / right
+    result = left**right
+    if isinstance(result, complex):
+        raise EvaluationError(f"complex power {left!r} ^ {right!r}")
+    return result

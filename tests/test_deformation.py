@@ -1,6 +1,7 @@
 """Deformation scheme construction and evaluation tests."""
 
 import math
+import pickle
 
 import pytest
 
@@ -134,3 +135,12 @@ def test_labels():
     assert DeformationScheme.undeformed().label == "undeformed"
     assert DeformationScheme.biedenharn_macfarlane(2.0).label == "biedenharn-macfarlane"
     assert DeformationScheme.custom("n", 1.0).label == "n"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+def test_used_scheme_pickles(scheme):
+    before = list(scheme.d_values(6))
+    copy = pickle.loads(pickle.dumps(scheme))
+    assert copy == scheme
+    assert copy.d_values(12) == scheme.d_values(12)
+    assert copy.d_values(12)[:6] == before

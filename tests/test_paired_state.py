@@ -21,7 +21,7 @@ from qfock import (
     squeezed_probabilities,
     thermal_probabilities,
 )
-from qfock.paired_state import MomentSet
+from qfock.paired_state import MomentSet, PairedDiagonalState
 
 from helpers import (
     close,
@@ -66,6 +66,22 @@ def test_geometric_state_is_normalized():
 def test_negative_probability_rejected():
     with pytest.raises(ValueError, match="negative probability"):
         from_probabilities([0.5, -0.1], 1.0)
+
+
+@pytest.mark.parametrize(
+    "probabilities,index",
+    [([0.5, -0.1], 1), ([math.nan, 0.5], 0), ([0.5, 0.2, math.inf, -1.0], 2)],
+)
+def test_first_bad_probability_is_named(probabilities, index):
+    with pytest.raises(ValueError, match=rf"negative probability P\[{index}\] = "):
+        from_probabilities(probabilities, 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [(0.6, -0.8), (math.nan,), (0.5, math.inf)])
+def test_state_rejects_negative_or_non_finite_coefficients(coeffs):
+    # (0.6, -0.8) has squares summing to 1, so only the sign check sees it.
+    with pytest.raises(ValueError, match="coefficients must be finite and nonnegative"):
+        PairedDiagonalState(coeffs, 1.0)
 
 
 def test_mass_deficit_beyond_tail_bound_rejected():
