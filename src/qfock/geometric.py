@@ -6,18 +6,20 @@ r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
 on it: the probabilities, the mean under the symmetric deformation, the
 second moments and quadrature variances, and the entropy.  The squeezed
 and thermal modules only map their physical parameter onto a law.  This
-module also owns cutoff selection, the adaptive d-weighted series
-summation with divergence detection, and ``geometric_state``, the paired
-state whose moments give the thermal series mean.
+module also owns cutoff selection, the adaptive d-weighted series scan
+with divergence detection, and ``geometric_state``, the paired state
+whose moments give the thermal series mean.  The scan streams its terms:
+``weighted_series`` sums them and ``weighted_cutoff`` counts them, and
+no term list is kept.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .deformation import DeformationScheme
-from .paired_state import MomentSet, PairedDiagonalState, from_probabilities
+from .paired_state import MomentSet, PairedDiagonalState
 
 __all__ = [
     "DivergenceError",
@@ -162,30 +164,29 @@ def probability_cutoff(ratio: float, tail_tol: float) -> int:
     return min(n, _MAX_TERMS)
 
 
-def _weighted_scan(
+def _weighted_terms(
     scheme: DeformationScheme,
     ratio: float,
     tol: float,
     prefactor: float,
-) -> tuple[list[float], int]:
-    """Adaptively scan d(n) * prefactor * ratio^n; return (terms, last index).
+) -> Iterator[float]:
+    """Yield d(n) * prefactor * ratio^n for n = 0, 1, ... up to the last term
+    the series needs; nothing at ratio 0.
 
-    Terms are accumulated until both the current term and the estimated
+    Terms are yielded until both the current term and the estimated
     geometric tail drop below tol relative to the running magnitude.  A term
     magnitude that fails to decrease over 32 consecutive steps is reported
     as divergence (this catches growth ratios >= 1 without any scheme-
     specific analysis, so custom laws are handled uniformly).  d(n) is read
     from the scheme's column, grown one value at a time, so the scan never
-    evaluates a d(n) past the index it stops at.
+    evaluates a d(n) past the index it stops at.  No term is stored.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     if ratio == 0.0:
-        return [], 0
+        return
     d = scheme.d_values(0)
     known = len(d)
-    terms = []
-    append = terms.append
     running = 0.0
     prev_mag = 0.0
     growth_run = 0
@@ -194,7 +195,7 @@ def _weighted_scan(
         if n >= known:
             known = len(scheme.d_values(n + 1))
         t = d[n] * prefactor * ratio**n
-        append(t)
+        yield t
         running += t
         mag = abs(t)
         if prev_mag > 0.0 and mag >= prev_mag:
@@ -212,7 +213,7 @@ def _weighted_scan(
                 if n >= 1:
                     zero_run += 1
                     if zero_run >= 4:  # law vanished or ratio^n underflowed
-                        return terms, n
+                        return
             else:
                 zero_run = 0
                 # Only a decreasing term can stop the scan (so prev_mag > 0
@@ -223,7 +224,7 @@ def _weighted_scan(
                     if mag < limit:
                         rho = mag / prev_mag
                         if mag * rho / (1.0 - rho) < limit:
-                            return terms, n
+                            return
         prev_mag = mag
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
 
@@ -235,12 +236,15 @@ def weighted_series(
     prefactor: float,
 ) -> float:
     """Sum of d(n) * prefactor * ratio^n."""
-    return math.fsum(_weighted_scan(scheme, ratio, tol, prefactor)[0])
+    return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     """Index beyond which d-weighted geometric terms are negligible."""
-    return _weighted_scan(scheme, ratio, tol, 1.0 - ratio)[1]
+    n = 0
+    for n, _ in enumerate(_weighted_terms(scheme, ratio, tol, 1.0 - ratio)):
+        pass
+    return n
 
 
 def geometric_state(
@@ -256,6 +260,6 @@ def geometric_state(
         probability_cutoff(ratio, tail_tol),
         weighted_cutoff(scheme, ratio, tail_tol),
     )
-    probs = [(1.0 - ratio) * ratio**n for n in range(cutoff + 1)]
-    return from_probabilities(probs, ratio ** (cutoff + 1))
+    coeffs = tuple(math.sqrt((1.0 - ratio) * ratio**n) for n in range(cutoff + 1))
+    return PairedDiagonalState(coeffs, ratio ** (cutoff + 1))
 

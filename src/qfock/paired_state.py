@@ -8,9 +8,10 @@ tensor.  Everything here is the brute-force side of the closed forms in
 the squeezed/thermal modules: moments are plain truncated sums over the
 stored coefficients.  The coefficients are the state's Schmidt spectrum,
 so tracing out the twin mode leaves rho = diag(c_n^2) and the
-entanglement entropy is the Shannon entropy of {c_n^2}.  A state checks
-its own normalization when it is built; ``from_probabilities`` checks
-only each entry, before its square root.
+entanglement entropy is the Shannon entropy of {c_n^2}.  A state is
+checked once, when it is built: each coefficient finite and nonnegative,
+and the norm against the tail bound.  ``from_probabilities`` also checks
+each P_n before its square root, to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .deformation import DeformationScheme
 
@@ -63,9 +64,6 @@ class PairedDiagonalState:
     @property
     def cutoff(self) -> int:
         return len(self.coeffs) - 1
-
-    def probabilities(self) -> list[float]:
-        return [c * c for c in self.coeffs]
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def reduced_entropy_bits(state: PairedDiagonalState) -> float:
     two-mode matrix; the dense partial trace is kept in the tests as the
     reference it must match bit for bit.  A point mass gives +0.0.
     """
-    return _entropy_bits(state.probabilities())
+    return _entropy_bits(c * c for c in state.coeffs)
 
 
 def _checked(probabilities: Sequence[float]) -> list[float]:
@@ -169,7 +167,7 @@ def _checked(probabilities: Sequence[float]) -> list[float]:
     return probs
 
 
-def _entropy_bits(probs: Sequence[float]) -> float:
+def _entropy_bits(probs: Iterable[float]) -> float:
     """-sum P log2 P over the positive entries, correctly rounded (fsum),
     so the order of the entries does not change the result."""
     return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0.0)
