@@ -136,12 +136,11 @@ def _compute_row(
     # The probability cutoff is the smallest one meeting tail_tol, or the
     # term cap; only a capped one leaves a larger tail.
     flags = ["cutoff-capped"] if tail_bound > tail_tol else []
-    convergent = True
     series = None
     try:
         series = series_of(spec)
     except DivergenceError:
-        convergent = False
+        pass
 
     # The symmetric closed form covers the undeformed scheme as q = 1.
     closed = None
@@ -167,7 +166,7 @@ def _compute_row(
         if abs(series - closed) >= _MISMATCH_TOL:
             flags.append("mismatch")
 
-    status = ";".join(["convergent" if convergent else "divergent"] + flags)
+    status = ";".join(["divergent" if series is None else "convergent"] + flags)
     return ResultRow(
         q=float(q),
         param=float(param),

@@ -6,11 +6,9 @@ r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
 on it: the probabilities, the mean under the symmetric deformation, the
 second moments and quadrature variances, and the entropy.  The squeezed
 and thermal modules only map their physical parameter onto a law.  This
-module also owns cutoff selection, the adaptive d-weighted series scan
-with divergence detection, and ``geometric_state``, the paired state
-whose moments give the thermal series mean.  The scan streams its terms:
-``weighted_series`` sums them and ``weighted_cutoff`` counts them, and
-no term list is kept.
+module also owns cutoff selection, the streamed d-weighted series scan
+with divergence detection (no term list is kept), and ``geometric_state``,
+the paired state whose moments give the thermal series mean.
 """
 
 from __future__ import annotations
@@ -43,35 +41,39 @@ class DivergenceError(ArithmeticError):
 class GeometricLaw(NamedTuple):
     """The pair-number law P_n = (1 - r) r^n, 0 <= r < 1.
 
-    The complements 1 - r and 1 - sqrt(r) are taken from the physical
-    parameter, never by subtraction from r, so they keep full relative
-    precision as r -> 1.  Build one with ``from_xi`` or ``from_theta``.
+    The complements 1 - r and 1 - sqrt(r), and ln r, are taken from the
+    physical parameter, never from r, so they keep full relative precision
+    as r -> 1.  Build one with ``from_xi`` or ``from_theta``.
     """
 
     r: float
     one_minus_r: float
     sqrt_r: float
     one_minus_sqrt_r: float
+    ln_r: float
 
     @classmethod
     def from_xi(cls, xi: float) -> "GeometricLaw":
-        """Squeezing: r = tanh^2 xi, 1 - r = 1/cosh^2 xi,
-        1 - tanh|xi| = 2/(1 + e^(2|xi|))."""
+        """Squeezing: r = tanh^2 xi, 1 - r = 1/cosh^2 xi, 1 - tanh|xi| =
+        2/(1 + e^(2|xi|)), ln r = -2 log1p(2/expm1(2|xi|)); OverflowError,
+        naming xi, once e^(2|xi|) overflows (|xi| > 354.89)."""
         x = abs(xi)
-        t = math.tanh(x)
-        return cls(t * t, 1.0 / math.cosh(x) ** 2, t, 2.0 / (1.0 + math.exp(2.0 * x)))
+        try:
+            t, em1 = math.tanh(x), math.expm1(2.0 * x)
+            ln_r = -2.0 * math.log1p(2.0 / em1) if em1 else -math.inf  # r = 0 at xi = 0
+            omsr = 2.0 / (1.0 + math.exp(2.0 * x))
+            return cls(t * t, 1.0 / math.cosh(x) ** 2, t, omsr, ln_r)
+        except OverflowError:
+            msg = f"squeezing parameter xi={xi!r} overflows the pair-number law"
+            raise OverflowError(msg + " (|xi| > 354.89)") from None
 
     @classmethod
     def from_theta(cls, theta: float) -> "GeometricLaw":
         """Temperature: r = e^-theta for theta = beta * omega > 0."""
         if not theta > 0.0:
             raise ValueError(f"theta must be positive, got {theta!r}")
-        return cls(
-            math.exp(-theta),
-            -math.expm1(-theta),
-            math.exp(-0.5 * theta),
-            -math.expm1(-0.5 * theta),
-        )
+        r, sqrt_r = math.exp(-theta), math.exp(-0.5 * theta)
+        return cls(r, -math.expm1(-theta), sqrt_r, -math.expm1(-0.5 * theta), -theta)
 
     def probabilities(self, tail_tol: float) -> list[float]:
         """P_n for n = 0..N, cut at the smallest N with r^(N+1) <= tail_tol,
@@ -139,11 +141,11 @@ class GeometricLaw(NamedTuple):
 
     def entropy_bits(self) -> float:
         """Shannon entropy of the law in bits,
-        -log2(1 - r) - r log2(r) / (1 - r); 0 at r = 0."""
+        -log2(1 - r) - r ln(r) / ((1 - r) ln 2); 0 at r = 0."""
         if self.r == 0.0:
             return 0.0
         r, omr = self.r, self.one_minus_r
-        return -math.log2(omr) - r * math.log2(r) / omr
+        return -math.log2(omr) - r * (self.ln_r / math.log(2.0)) / omr
 
 
 def probability_cutoff(ratio: float, tail_tol: float) -> int:
@@ -241,10 +243,7 @@ def weighted_series(
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     """Index beyond which d-weighted geometric terms are negligible."""
-    n = 0
-    for n, _ in enumerate(_weighted_terms(scheme, ratio, tol, 1.0 - ratio)):
-        pass
-    return n
+    return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)
 
 
 def geometric_state(

@@ -9,9 +9,8 @@ the squeezed/thermal modules: moments are plain truncated sums over the
 stored coefficients.  The coefficients are the state's Schmidt spectrum,
 so tracing out the twin mode leaves rho = diag(c_n^2) and the
 entanglement entropy is the Shannon entropy of {c_n^2}.  A state is
-checked once, when it is built: each coefficient finite and nonnegative,
-and the norm against the tail bound.  ``from_probabilities`` also checks
-each P_n before its square root, to name the first bad entry.
+checked once, when it is built (entries and norm); ``from_probabilities``
+also checks each P_n before its square root, to name the first bad one.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -332,6 +333,20 @@ def test_library_errors_are_value_errors():
         run_sweep(SweepSpec("squeezed", "undeformed", (math.nan,), (1.0,)))
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("coherent", "bm", (1.0,), (1.0,)), "unknown sweep family 'coherent'"),
+        (("squeezed", "bm", (), (1.0,)), "q and parameter value lists must be non-empty"),
+        (("thermal", "bm", (1.0,), ()), "q and parameter value lists must be non-empty"),
+        (("squeezed", "bm", (1.0,), (1.0,), 1.0), "tail tolerance must lie in (0, 1), got 1.0"),
+    ],
+)
+def test_sweep_spec_rejects_bad_requests(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepSpec(*args)
+
+
 def test_sweep_spec_holds_what_run_sweep_reads():
     assert [f.name for f in fields(SweepSpec)] == [
         "family",
@@ -479,6 +494,15 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["sweep", "squeezed", "--scheme", "expr:(q^n - q^(-n))/(q - q^(-1))"]
             + ["--q", "2", "--xi", "0.87"],
             "error: overflow at q=2.0, n=1024.0",
+        ),
+        # e^(2 xi) overflows at 355; at 400 cosh(xi)^2 does too
+        (
+            ["sweep", "squeezed", "--xi", "355"],
+            "error: squeezing parameter xi=355.0 overflows the pair-number law (|xi| > 354.89)",
+        ),
+        (
+            ["sweep", "squeezed", "--xi", "400"],
+            "error: squeezing parameter xi=400.0 overflows the pair-number law (|xi| > 354.89)",
         ),
     ],
 )

@@ -3,14 +3,18 @@
 ``probability_cutoff`` starts from the log estimate ceil(ln tol / ln r) - 1
 and corrects it by single steps.  At a boundary ratio r = tol^(1/k) the
 estimate is off by one in either direction, so these cases run both
-correction loops.
+correction loops.  The cutoff and the d-weighted scan share the term cap
+and the check of their inputs.
 """
 
 import math
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.geometric import probability_cutoff
+from qfock import DeformationScheme, DivergenceError
+from qfock.geometric import probability_cutoff, weighted_cutoff, weighted_series
 
 TOLS = (1e-12, 1e-8, 1e-3, 0.5)
 CAP = 200_000
@@ -58,3 +62,36 @@ def test_cutoff_is_minimal_or_capped(r, tol):
 def test_cutoff_is_capped():
     r = 1.0 - 1e-9  # the minimal cutoff is about 2.8e10 at tol 1e-12
     assert probability_cutoff(r, 1e-12) == CAP
+
+
+@pytest.mark.parametrize(
+    "ratio,tol,message",
+    [
+        (1.0, 1e-12, "geometric ratio must lie in [0, 1), got 1.0"),
+        (-0.5, 1e-12, "geometric ratio must lie in [0, 1), got -0.5"),
+        (math.nan, 1e-12, "geometric ratio must lie in [0, 1), got nan"),
+        (0.5, 0.0, "tail tolerance must lie in (0, 1), got 0.0"),
+        (0.5, 1.0, "tail tolerance must lie in (0, 1), got 1.0"),
+    ],
+)
+def test_cutoff_rejects_bad_ratio_or_tolerance(ratio, tol, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        probability_cutoff(ratio, tol)
+
+
+@pytest.mark.parametrize("ratio", [1.0, -0.5, math.nan])
+def test_scan_rejects_ratio_outside_unit_interval(ratio):
+    message = re.escape(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    scheme = DeformationScheme.undeformed()
+    with pytest.raises(ValueError, match=message):
+        weighted_series(scheme, ratio, 1e-12, 1.0)
+    with pytest.raises(ValueError, match=message):
+        weighted_cutoff(scheme, ratio, 1e-12)
+
+
+def test_scan_stops_at_the_term_cap():
+    # A bounded law at r = 1 - 1e-5 has not settled after CAP terms.
+    scheme = DeformationScheme.custom("2*(1 - 0.5^n)", 1.0)
+    message = f"series did not settle within {CAP} terms"
+    with pytest.raises(DivergenceError, match=message):
+        weighted_series(scheme, 1.0 - 1e-5, 1e-12, 1e-5)

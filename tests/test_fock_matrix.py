@@ -1,6 +1,7 @@
 """Truncated operator matrices and ladder-algebra checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qfock import (
     verify_algebra,
 )
 from qfock.deformation import eval_d
+from qfock.fock_matrix import TruncatedOperator
 
 from helpers import (
     commutator,
@@ -233,3 +235,18 @@ def test_entries_are_frozen():
     a = annihilation_matrix(UNDEFORMED, 3)
     with pytest.raises(ValueError):
         a.entries[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "dim,entries,message",
+    [
+        (0, np.zeros((0, 0)), "dimension must be positive, got 0"),
+        (2, np.zeros((2, 3)), "entries have shape (2, 3), expected (2, 2)"),
+        (2, np.zeros(4), "entries have shape (4,), expected (2, 2)"),
+        (2, [[0.0, math.inf], [0.0, 0.0]], "entries must all be finite"),
+        (1, [[math.nan]], "entries must all be finite"),
+    ],
+)
+def test_operator_rejects_bad_entries(dim, entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TruncatedOperator(dim, entries)

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from qfock import entanglement_entropy_closed, thermal_entropy_bits
 from qfock.cli import SweepSpec, run_sweep
 
 mpmath = pytest.importorskip("mpmath")
@@ -71,3 +72,35 @@ def test_row_matches_mpmath(family, descriptor, q, param):
         (row.product, product),
     ):
         assert abs(got - want) <= 1e-11 * want
+
+
+# From where r underflows to 0, through where tanh^2 xi rounds to 1
+# (xi >= 19.0615), up to the largest xi whose law is finite (354.89).
+ENTROPY_XI = [
+    1e-170, 1e-100, 1e-30, 1e-8, 1e-3, 0.1, 1.0, 3.0, 7.0, -10.0, 10.0, 15.0,
+    19.0, 19.0615, 19.5, 25.0, 50.0, 100.0, 200.0, 354.0,
+]
+ENTROPY_THETA = [1e-14, 1e-10, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0, 745.0]
+
+
+def _reference_entropy(r):
+    """-log2(1 - r) - r log2(r) / (1 - r) for an mpf r, at the working precision."""
+    if r == 0:
+        return 0.0
+    return float(-mpmath.log(1 - r, 2) - r * mpmath.log(r, 2) / (1 - r))
+
+
+@pytest.mark.parametrize("xi", ENTROPY_XI)
+def test_squeezed_entropy_closed_matches_mpmath(xi):
+    with mpmath.workdps(400):
+        want = _reference_entropy(mpmath.tanh(mpmath.mpf(xi)) ** 2)
+    got = entanglement_entropy_closed(xi)
+    assert abs(got - want) <= 1e-12 * max(1.0, want), (got, want)
+
+
+@pytest.mark.parametrize("theta", ENTROPY_THETA)
+def test_thermal_entropy_closed_matches_mpmath(theta):
+    with mpmath.workdps(400):
+        want = _reference_entropy(mpmath.exp(-mpmath.mpf(theta)))
+    got = thermal_entropy_bits(theta)
+    assert abs(got - want) <= 1e-12 * max(1.0, want), (got, want)

@@ -1,6 +1,7 @@
 """Squeezed-vacuum law, closed forms, and series cross-checks."""
 
 import math
+import re
 
 import pytest
 
@@ -72,6 +73,21 @@ def test_probabilities_never_see_the_scheme():
 def test_entropy_closed_values():
     assert entanglement_entropy_closed(0.0) == 0.0
     assert entanglement_entropy_closed(XI_UNIT_MEAN) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_entropy_closed_past_where_the_ratio_rounds_to_one():
+    # tanh^2 19.5 rounds to 1; 1 - r = 4 e^-39 and r ln r / (1 - r) -> -1
+    # to within e^-39, so h = 39 log2(e) - 2 + log2(e).
+    want = 40.0 / math.log(2.0) - 2.0
+    assert entanglement_entropy_closed(19.5) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("xi", [355.0, -400.0, 1e308])
+def test_law_past_the_float_range_names_xi(xi):
+    message = re.escape(f"squeezing parameter xi={xi!r} overflows the pair-number law")
+    for build in (GeometricLaw.from_xi, entanglement_entropy_closed):
+        with pytest.raises(OverflowError, match=message):
+            build(xi)
 
 
 @pytest.mark.parametrize("xi", [0.1, 0.5, 1.0, 2.0])

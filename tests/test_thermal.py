@@ -1,6 +1,7 @@
 """Thermal-vacuum law, closed forms, and the exponent-sign oracle."""
 
 import math
+import re
 
 import pytest
 
@@ -76,6 +77,13 @@ def test_nonpositive_theta_rejected():
         ThermalSpec(theta=-1.0, scheme=UNDEFORMED)
     with pytest.raises(ValueError):
         thermal_entropy_bits(0.0)
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, math.nan])
+def test_tail_tolerance_outside_unit_interval_rejected(tail_tol):
+    message = f"tail tolerance must lie in (0, 1), got {tail_tol!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ThermalSpec(theta=1.0, scheme=UNDEFORMED, tail_tol=tail_tol)
 
 
 @pytest.mark.parametrize("theta", [0.2, 1.0, 3.0])
