@@ -208,8 +208,19 @@ def render_csv(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Encodes a row as json.dumps(rows, indent=2) writes it, less the line
+# breaks after "{" and before "}", which render_json adds.  json runs its C
+# encoder only when indent is None.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def render_json(rows: list[ResultRow]) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
+    """The bytes of ``json.dumps([row dicts], indent=2) + "\\n"``."""
+    if not rows:
+        return "[]\n"
+    encode = _ROW_ENCODER.encode
+    body = ",\n  ".join("{\n    " + encode(row.as_dict())[1:-1] + "\n  }" for row in rows)
+    return "[\n  " + body + "\n]\n"
 
 
 def run_verify(

@@ -63,19 +63,24 @@ class TruncatedOperator:
 
 
 def _ladder_values(scheme: DeformationScheme, dim: int) -> np.ndarray:
-    """sqrt(d(n)) for n = 1..dim-1, from the scheme's column.  The column
-    grows one value at a time, each sign-checked before the next is taken,
-    so a negative d(n) is reported before any later d fails."""
-    d = scheme.d_values(0)
-    for n in range(1, dim):
-        if n >= len(d):
-            scheme.d_values(n + 1)
-        if d[n] < 0.0:
-            raise ValueError(
-                f"deformation value d({n}) = {d[n]!r} is negative; "
-                "ladder entries need d >= 0"
-            )
-    return np.sqrt(d[1:dim])
+    """sqrt(d(n)) for n = 1..dim-1, from the scheme's column, grown in one
+    call.  If some d(n) fails, the values before it are sign-checked
+    first, so a negative d(n) is reported before any later d fails."""
+    try:
+        column, failed = scheme.d_values(dim), False
+    except ArithmeticError:
+        column, failed = scheme.d_values(0), True
+    values = np.array(column[1:dim])
+    negative = np.flatnonzero(values < 0.0)
+    if negative.size:
+        n = int(negative[0]) + 1
+        raise ValueError(
+            f"deformation value d({n}) = {column[n]!r} is negative; "
+            "ladder entries need d >= 0"
+        )
+    if failed:
+        scheme.d_values(dim)  # raises the evaluation error again
+    return np.sqrt(values)
 
 
 def annihilation_matrix(scheme: DeformationScheme, dim: int) -> TruncatedOperator:

@@ -55,8 +55,11 @@ class GeometricLaw(NamedTuple):
     @classmethod
     def from_xi(cls, xi: float) -> "GeometricLaw":
         """Squeezing: r = tanh^2 xi, 1 - r = 1/cosh^2 xi, 1 - tanh|xi| =
-        2/(1 + e^(2|xi|)), ln r = -2 log1p(2/expm1(2|xi|)); OverflowError,
-        naming xi, once e^(2|xi|) overflows (|xi| > 354.89)."""
+        2/(1 + e^(2|xi|)), ln r = -2 log1p(2/expm1(2|xi|)); ValueError for
+        a non-finite xi, and OverflowError, naming xi, once e^(2|xi|)
+        overflows (|xi| > 354.89)."""
+        if not math.isfinite(xi):
+            raise ValueError(f"squeezing parameter must be finite, got {xi!r}")
         x = abs(xi)
         try:
             t, em1 = math.tanh(x), math.expm1(2.0 * x)
@@ -79,7 +82,8 @@ class GeometricLaw(NamedTuple):
         """P_n for n = 0..N, cut at the smallest N with r^(N+1) <= tail_tol,
         so the emitted sum is >= 1 - tail_tol."""
         cutoff = probability_cutoff(self.r, tail_tol)
-        return [self.one_minus_r * self.r**n for n in range(cutoff + 1)]
+        omr, r = self.one_minus_r, self.r
+        return [omr * r**n for n in range(cutoff + 1)]
 
     def symmetric_nbar(self, q: float) -> float:
         """Mean of d(n) = (q^n - q^-n)/(q - 1/q) (d(n) = n at q = 1) under the law.
@@ -182,6 +186,19 @@ def _weighted_terms(
     specific analysis, so custom laws are handled uniformly).  d(n) is read
     from the scheme's column, grown one value at a time, so the scan never
     evaluates a d(n) past the index it stops at.  No term is stored.
+
+    Each term takes the first of three branches that holds:
+
+    1. smaller than the last (so the last was > 0): the common case after
+       the rising front, and the only one that can stop the scan.  A zero
+       starts a run of zeros; any other term is tested against the limit
+       tol * max(1, |running|), formed without builtin calls;
+    2. at least the last, which was > 0: one more step of growth;
+    3. anything else (the last was 0, or a NaN is involved): a zero at
+       n >= 1 extends the run of zeros, which ends the scan at four.
+
+    The stop rule is the same in every case as when all three tests ran on
+    every term: the branches only order them.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
@@ -192,7 +209,7 @@ def _weighted_terms(
     running = 0.0
     prev_mag = 0.0
     growth_run = 0
-    zero_run = 0
+    zero_run = 0  # always 0 while prev_mag > 0
     for n in range(_MAX_TERMS):
         if n >= known:
             known = len(scheme.d_values(n + 1))
@@ -200,7 +217,17 @@ def _weighted_terms(
         yield t
         running += t
         mag = abs(t)
-        if prev_mag > 0.0 and mag >= prev_mag:
+        if mag < prev_mag:
+            growth_run = 0
+            if mag == 0.0:
+                zero_run = 1
+            else:
+                limit = tol * (running if running > 1.0 else -running if running < -1.0 else 1.0)
+                if mag < limit:
+                    rho = mag / prev_mag
+                    if mag * rho / (1.0 - rho) < limit:
+                        return
+        elif mag >= prev_mag > 0.0:
             growth_run += 1
             if growth_run >= _GROWTH_PATIENCE:
                 rho = mag / prev_mag
@@ -211,22 +238,12 @@ def _weighted_terms(
                 )
         else:
             growth_run = 0
-            if mag == 0.0:
-                if n >= 1:
-                    zero_run += 1
-                    if zero_run >= 4:  # law vanished or ratio^n underflowed
-                        return
-            else:
+            if mag != 0.0:
                 zero_run = 0
-                # Only a decreasing term can stop the scan (so prev_mag > 0
-                # and n >= 1), and only once it is below the limit is the
-                # tail estimate worth forming.
-                if mag < prev_mag:
-                    limit = tol * max(1.0, abs(running))
-                    if mag < limit:
-                        rho = mag / prev_mag
-                        if mag * rho / (1.0 - rho) < limit:
-                            return
+            elif n >= 1:
+                zero_run += 1
+                if zero_run >= 4:  # law vanished or ratio^n underflowed
+                    return
         prev_mag = mag
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
 
@@ -259,6 +276,7 @@ def geometric_state(
         probability_cutoff(ratio, tail_tol),
         weighted_cutoff(scheme, ratio, tail_tol),
     )
-    coeffs = tuple(math.sqrt((1.0 - ratio) * ratio**n) for n in range(cutoff + 1))
+    omr = 1.0 - ratio
+    coeffs = tuple(math.sqrt(omr * ratio**n) for n in range(cutoff + 1))
     return PairedDiagonalState(coeffs, ratio ** (cutoff + 1))
 

@@ -10,7 +10,6 @@ r = tanh^2 xi and pairs the closed mean with the brute-force series.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .deformation import DeformationScheme
@@ -39,11 +38,10 @@ class SqueezedSpec:
     law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.xi):
-            raise ValueError(f"squeezing parameter must be finite, got {self.xi!r}")
+        # The law checks xi first, so a bad xi is named before a bad tolerance.
+        object.__setattr__(self, "law", GeometricLaw.from_xi(self.xi))
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
-        object.__setattr__(self, "law", GeometricLaw.from_xi(self.xi))
 
 
 def squeezed_probabilities(spec: SqueezedSpec) -> list[float]:

@@ -195,6 +195,41 @@ def test_sweep_json_round_trip(tmp_path):
     assert rebuilt == rows
 
 
+def _json_row(status, value=1.5, cutoff=3):
+    return ResultRow(
+        q=2.0,
+        param=value,
+        nbar_series=None,
+        nbar_closed=-value,
+        var1=math.nan,
+        var2=math.inf,
+        product=-math.inf,
+        entropy_closed=0.0,
+        entropy_series=None,
+        cutoff=cutoff,
+        tail_bound=1e-300,
+        status=status,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [_json_row("convergent")],
+        [
+            _json_row('say "hi"', value=math.nan),
+            _json_row("back\\slash\nnew line", value=-0.0, cutoff=0),
+            _json_row("q→∞ é", value=1e308),
+        ],
+    ],
+    ids=["empty", "one", "escapes"],
+)
+def test_render_json_gives_the_bytes_of_indented_dumps(rows):
+    want = json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
+    assert render_json(rows) == want
+
+
 def test_sweep_json_format_flag(capsys, tmp_path):
     assert main(["sweep", "squeezed", "--xi", "1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,16 +1,19 @@
 """The d(n) column a scheme carries: every route that reads it gives the
 bits, the errors and the stop index of one ``eval_d`` call per value."""
 
+import math
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qfock.deformation
 from qfock import (
     DeformationScheme,
+    DivergenceError,
     EvaluationError,
     annihilation_matrix,
     geometric_state,
@@ -72,6 +75,77 @@ def test_scan_equals_per_call_reference(name):
     for ratio, tol in CELLS:
         want = _outcome(_reference_scan, make(), ratio, tol)
         assert _outcome(_column_scan, make(), ratio, tol) == want, (ratio, tol)
+
+
+# The property below draws from these: SCHEMES, a law whose d(2) = 0, so
+# a zero term follows a positive one, and a law with d(n) = 1 at odd n and
+# n^2 at even n, whose terms at the huge prefactor and the underflowing
+# ratio alternate 0 and inf * 0 = NaN from n = 2 on: a NaN must end each
+# run of zeros, so that scan never settles.
+SCAN_SCHEMES = {
+    **SCHEMES,
+    "zero-at-2": lambda: DeformationScheme.custom("n*(n - 2)^2", 1.0),
+    "odd-ones": lambda: DeformationScheme.custom("n^(1 + (-1)^n)", 1.0),
+}
+UNDERFLOW_RATIO = 1e-200  # ratio^n is 0.0 from n = 2 on
+HUGE_PREFACTOR = 1e308  # d(n) * prefactor is inf from d(n) = 2 on
+
+
+def _nan_safe(outcome):
+    """The outcome with a NaN divergence ratio read as the string "nan"."""
+    if outcome[0] != "value" and outcome[2] != outcome[2]:
+        return outcome[:2] + ("nan",)
+    return outcome
+
+
+def _reference_parts(outcome):
+    """A reference outcome split into the series and the cutoff outcomes."""
+    if outcome[0] != "value":
+        return outcome, outcome
+    total, index = outcome[1]
+    return ("value", total), ("value", index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCAN_SCHEMES)),
+    ratio=st.one_of(st.sampled_from(RATIOS), st.floats(0.0, 0.99)),
+    tol=st.one_of(st.sampled_from(TOLS), st.floats(1e-16, 1e-2)),
+    prefactor=st.sampled_from((None, 1.0, -0.5, 1e-300, HUGE_PREFACTOR)),
+)
+@example(name="zero-at-2", ratio=0.3, tol=1e-12, prefactor=None)
+@example(name="undeformed", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=None)
+@example(name="undeformed", ratio=0.9, tol=1e-12, prefactor=HUGE_PREFACTOR)
+@example(name="bm-2", ratio=0.6, tol=1e-12, prefactor=None)
+@example(name="odd-ones", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=HUGE_PREFACTOR)
+def test_scan_routes_equal_reference_on_any_cell(name, ratio, tol, prefactor):
+    """Series value and cutoff index, or the error's type, message and
+    ratio, as the reference scan gives them; prefactor None is 1 - ratio."""
+    make = SCAN_SCHEMES[name]
+    if prefactor is None:
+        prefactor = 1.0 - ratio
+    want_series, _ = _reference_parts(
+        _nan_safe(_outcome(reference_weighted_scan, make(), ratio, tol, prefactor))
+    )
+    _, want_cutoff = _reference_parts(_outcome(_reference_scan, make(), ratio, tol))
+    assert _nan_safe(_outcome(weighted_series, make(), ratio, tol, prefactor)) == want_series
+    assert _outcome(weighted_cutoff, make(), ratio, tol) == want_cutoff
+
+
+def test_scan_property_examples_reach_their_branches():
+    zero_after_positive = SCAN_SCHEMES["zero-at-2"]()
+    assert zero_after_positive.d_values(3)[:3] == [0.0, 1.0, 0.0]
+    assert _reference_scan(zero_after_positive, 0.3, 1e-12)[1] > 3
+    assert _reference_scan(DeformationScheme.undeformed(), UNDERFLOW_RATIO, 1e-12)[1] == 5
+    plain = DeformationScheme.undeformed()
+    with pytest.raises(DivergenceError, match="term ratio nan") as info:
+        reference_weighted_scan(plain, 0.9, 1e-12, HUGE_PREFACTOR)
+    assert math.isnan(info.value.ratio)
+    with pytest.raises(DivergenceError, match="stopped decreasing") as info:
+        _reference_scan(SCHEMES["bm-2"](), 0.6, 1e-12)
+    assert info.value.ratio >= 1.0
+    assert SCAN_SCHEMES["odd-ones"]().d_values(5) == [0.0, 1.0, 4.0, 1.0, 16.0]
+    assert UNDERFLOW_RATIO**2 == 0.0 and 4.0 * HUGE_PREFACTOR == math.inf
 
 
 def test_reference_cells_cover_every_outcome():

@@ -90,6 +90,21 @@ def test_law_past_the_float_range_names_xi(xi):
             build(xi)
 
 
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+def test_non_finite_xi_builds_no_law(xi):
+    # tanh^2(inf) is 1.0, which no law may hold; the message is the spec's.
+    message = re.escape(f"squeezing parameter must be finite, got {xi!r}")
+    closed_forms = (
+        entanglement_entropy_closed,
+        lambda x: nbar_closed_bm(2.0, x),
+        lambda x: squeezed_variances_closed(1.0, x),
+        lambda x: SqueezedSpec(xi=x, scheme=UNDEFORMED, tail_tol=2.0),
+    )
+    for build in closed_forms:
+        with pytest.raises(ValueError, match=message):
+            build(xi)
+
+
 @pytest.mark.parametrize("xi", [0.1, 0.5, 1.0, 2.0])
 def test_entropy_closed_matches_shannon(xi):
     spec = SqueezedSpec(xi=xi, scheme=UNDEFORMED)
