@@ -9,12 +9,6 @@ brute-force truncated-sum oracle.
 The namespace holds what the command line and the acceptance criteria
 read; result types, scheme kinds, ``eval_d`` and ``weighted_series`` are
 imported from their own modules.
-
-Only the truncated ladder matrices need numpy.  Their five names
-(``annihilation_matrix``, ``creation_matrix``, ``number_matrix``,
-``identity_matrix``, ``verify_algebra``) are looked up in
-``qfock.fock_matrix`` on first access, so importing the package, and
-every sweep, runs without loading numpy.
 """
 
 from .deformation import DeformationScheme
@@ -24,6 +18,13 @@ from .expressions import (
     evaluate_tree,
     parse_deformation,
     render,
+)
+from .fock_matrix import (
+    annihilation_matrix,
+    creation_matrix,
+    identity_matrix,
+    number_matrix,
+    verify_algebra,
 )
 from .geometric import DivergenceError, GeometricLaw, geometric_state
 from .paired_state import (
@@ -85,21 +86,3 @@ __all__ = [
     "thermal_variances_closed",
     "verify_algebra",
 ]
-
-_MATRIX_NAMES = (
-    "annihilation_matrix",
-    "creation_matrix",
-    "identity_matrix",
-    "number_matrix",
-    "verify_algebra",
-)
-
-
-def __getattr__(name):
-    # Looked up on every access and never stored here, so the package name
-    # always gives the module's current binding, wrappers included.
-    if name in _MATRIX_NAMES:
-        from . import fock_matrix
-
-        return getattr(fock_matrix, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

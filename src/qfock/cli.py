@@ -12,9 +12,6 @@ Number lists come from flag text ("0.5,2") or from the JSON object of a
 sweep's ``--config`` (keys: the sweep options; flags win).  Every q, for
 every scheme, and ``verify --tol`` must be finite and positive.
 
-``sweep`` and ``parse`` never import numpy: ``verify`` and ``ops``
-import the matrix layer (``qfock.fock_matrix``) when they run.
-
 Exit codes: 0 success, 1 usage/parse error, 2 verification failure,
 3 I/O error.  Sweep output is deterministic: fixed row order (q-major,
 parameter-minor) and shortest round-trip number formatting, so repeated
@@ -33,6 +30,13 @@ from dataclasses import dataclass, fields
 
 from .deformation import CUSTOM, DeformationScheme
 from .expressions import EvaluationError, evaluate_tree, parse_deformation, render
+from .fock_matrix import (
+    annihilation_matrix,
+    creation_matrix,
+    identity_matrix,
+    number_matrix,
+    verify_algebra,
+)
 from .geometric import DivergenceError
 from .paired_state import shannon_entropy_bits
 from .squeezed import SqueezedSpec, nbar_series, squeezed_probabilities
@@ -231,8 +235,6 @@ def run_verify(
     bad = [d for d in dims if not 2 <= d <= _MAX_DIM]
     if bad:
         raise ValueError(f"--dims values must lie between 2 and {_MAX_DIM}, got {bad[0]}")
-    from .fock_matrix import verify_algebra
-
     lines = []
     all_passed = True
     for q in q_values:
@@ -257,27 +259,17 @@ def run_ops_dump(descriptor: str, q: float, dim: int, operator: str) -> str:
     if not 1 <= dim <= _MAX_DIM:
         raise ValueError(f"dim must lie between 1 and {_MAX_DIM}, got {dim}")
     scheme = resolve_scheme(descriptor, q)
-    from .fock_matrix import (
-        annihilation_matrix,
-        creation_matrix,
-        identity_matrix,
-        number_matrix,
-    )
-
-    if operator == "annihilation":
-        op = annihilation_matrix(scheme, dim)
-    elif operator == "creation":
-        op = creation_matrix(scheme, dim)
-    elif operator == "number":
-        op = number_matrix(dim)
+    if operator in ("annihilation", "creation"):
+        build = annihilation_matrix if operator == "annihilation" else creation_matrix
+        op = build(scheme, dim)
     else:
-        op = identity_matrix(dim)
+        op = number_matrix(dim) if operator == "number" else identity_matrix(dim)
     payload = {
         "scheme": scheme.label,
         "q": scheme.q,
         "dim": dim,
         "operator": operator,
-        "entries": op.entries.tolist(),
+        "entries": op.entries,
     }
     return json.dumps(payload) + "\n"
 

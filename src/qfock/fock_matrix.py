@@ -1,18 +1,13 @@
-"""Truncated ladder matrices over the number basis |0> .. |N_max>, and
+"""Truncated ladder operators over the number basis |0> .. |N_max>, and
 the ladder-algebra verifier.
 
-The ladder matrices carry sqrt(d(n+1)) on the off-diagonals, so a+ a is
-diagonal with entries d(n) on the whole truncated space, while relations
-involving a a+ only hold away from the cutoff.  Algebra checks are
-therefore restricted to the interior block (row/column index < dim - 1),
-where the truncation cannot be felt.
-
-Every product entering a relation (a+ a, a a+, N a+, a+ N, N a, a N) is
-diagonal or has a single off-diagonal band, so the verifier forms each
-relation on its band from the superdiagonal of the annihilation matrix and
-the values d(0..dim), in O(dim).  Each entry of such a product has exactly
-one non-zero term, so the band values are the entries the dense matrix
-products give, bit for bit.
+Each operator built here (a, a+, N and 1) is zero off one band, and
+``TruncatedOperator`` stores only that band.  The ladder operators carry
+sqrt(d(n+1)) off the diagonal, so a+ a is diagonal with entries d(n) on the
+whole truncated space, while relations involving a a+ only hold away from
+the cutoff.  Algebra checks are therefore restricted to the interior block
+(row/column index < dim - 1), where the truncation cannot be felt.  Every
+product entering a relation has one band too, so the verifier is O(dim).
 
 Residuals are reported in a floating-point-sane normalized form: the
 max-abs entry of (lhs - rhs) divided by max(1, largest magnitude among
@@ -24,9 +19,8 @@ keeps one tolerance meaningful at every dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .deformation import BIEDENHARN_MACFARLANE, DeformationScheme
 
@@ -43,71 +37,75 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dim x dim real matrix indexed by occupation number 0..dim-1."""
+    """A dim x dim real matrix, indexed by occupation number 0..dim-1, that
+    is zero off one band: ``band[k]`` sits at row k, column k + offset for
+    offset >= 0, and at row k - offset, column k below the diagonal."""
 
     dim: int
-    entries: np.ndarray
+    offset: int
+    band: tuple[float, ...]
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.dim, self.dim):
+        band, size = tuple(self.band), self.dim - abs(self.offset)
+        if len(band) != size:
             raise ValueError(
-                f"entries have shape {entries.shape}, expected {(self.dim, self.dim)}"
+                f"band at offset {self.offset} of a {self.dim} x {self.dim} matrix "
+                f"needs {size} values, got {len(band)}"
             )
-        if not np.all(np.isfinite(entries)):
+        if not all(map(math.isfinite, band)):
             raise ValueError("entries must all be finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "band", band)
+
+    @property
+    def entries(self) -> tuple[tuple[float, ...], ...]:
+        """The dense matrix, as a tuple of row tuples."""
+        rows = [[0.0] * self.dim for _ in range(self.dim)]
+        for row, value in enumerate(self.band, max(0, -self.offset)):
+            rows[row][row + self.offset] = value
+        return tuple(map(tuple, rows))
 
 
-def _ladder_values(scheme: DeformationScheme, dim: int) -> np.ndarray:
+def _ladder_values(scheme: DeformationScheme, dim: int) -> list[float]:
     """sqrt(d(n)) for n = 1..dim-1, from the scheme's column, grown in one
     call.  If some d(n) fails, the values before it are sign-checked
     first, so a negative d(n) is reported before any later d fails."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     try:
         column, failed = scheme.d_values(dim), False
     except ArithmeticError:
         column, failed = scheme.d_values(0), True
-    values = np.array(column[1:dim])
-    negative = np.flatnonzero(values < 0.0)
-    if negative.size:
-        n = int(negative[0]) + 1
-        raise ValueError(
-            f"deformation value d({n}) = {column[n]!r} is negative; "
-            "ladder entries need d >= 0"
-        )
+    values = column[1:dim]
+    for n, value in enumerate(values, 1):
+        if value < 0.0:
+            raise ValueError(
+                f"deformation value d({n}) = {value!r} is negative; "
+                "ladder entries need d >= 0"
+            )
     if failed:
         scheme.d_values(dim)  # raises the evaluation error again
-    return np.sqrt(values)
+    return list(map(math.sqrt, values))
 
 
 def annihilation_matrix(scheme: DeformationScheme, dim: int) -> TruncatedOperator:
     """Annihilation: sqrt(d(n+1)) on the superdiagonal, n = 0..dim-2."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(dim, np.diag(_ladder_values(scheme, dim), 1))
+    return TruncatedOperator(dim, 1, _ladder_values(scheme, dim))
 
 
 def creation_matrix(scheme: DeformationScheme, dim: int) -> TruncatedOperator:
     """Creation: transpose of the annihilation matrix."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(dim, np.diag(_ladder_values(scheme, dim), -1))
+    return TruncatedOperator(dim, -1, _ladder_values(scheme, dim))
 
 
 def number_matrix(dim: int) -> TruncatedOperator:
     """Number operator: diag(0, 1, ..., dim-1)."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(dim, np.diag(np.arange(dim, dtype=float)))
+    return TruncatedOperator(dim, 0, map(float, range(dim)))
 
 
 def identity_matrix(dim: int) -> TruncatedOperator:
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(dim, np.eye(dim))
+    return TruncatedOperator(dim, 0, (1.0,) * dim)
 
 
 @dataclass(frozen=True)
@@ -139,12 +137,6 @@ class AlgebraReport:
         return all(r < self.tol for r in self.residuals.values())
 
 
-def _residual(band: np.ndarray, *operands: np.ndarray) -> float:
-    """max|band| / max(1, max|operand|); an empty band has residual 0."""
-    scale = max([1.0] + [float(np.abs(op).max()) for op in operands])
-    return float(np.abs(band).max(initial=0.0) / scale)
-
-
 def verify_algebra(scheme: DeformationScheme, dim: int, tol: float) -> AlgebraReport:
     """Machine-check the deformed ladder relations at a finite cutoff.
 
@@ -153,38 +145,66 @@ def verify_algebra(scheme: DeformationScheme, dim: int, tol: float) -> AlgebraRe
     the cut superdiagonal makes a a+ wrong in the last row/column.  The
     relation names are listed on ``AlgebraReport``.
 
-    The residuals are computed on the bands of the products, in O(dim),
-    from the superdiagonal s of the matrix ``annihilation_matrix`` returns,
-    and equal those of the dense dim x dim products bit for bit.
+    One pass over n forms each band entry from the band s of
+    ``annihilation_matrix`` and d(0..dim), and keeps running maxima, so the
+    residuals are those of the dense dim x dim products bit for bit.  As
+    x -> fl(c x) is monotone for c > 0, max q a+ a = fl(q max a+ a) and
+    (k + 1) s_k bounds k s_k and s_k; and as rounding commutes with sign, the
+    ``number_lowers`` band is the ``number_raises`` band negated.
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2 to form an interior block, got {dim}")
-    s = annihilation_matrix(scheme, dim).entries.diagonal(1)
-    d = np.array(scheme.d_values(dim + 1)[: dim + 1])
-    d_n, d_n1 = d[:-1], d[1:]
+    s = annihilation_matrix(scheme, dim).band
+    d = scheme.d_values(dim + 1)
+    q = scheme.q
+    bm = scheme.kind == BIEDENHARN_MACFARLANE
 
-    # Diagonals of a+ a and a a+, and the bands N a+ = a N = (k+1) s and
-    # a+ N = N a = k s, where k = 0..dim-2 indexes the superdiagonal.
-    squares = s * s
-    adag_a = np.concatenate(([0.0], squares))
-    a_adag = np.concatenate((squares, [0.0]))
-    k = np.arange(dim - 1, dtype=float)
-    k_s, k1_s = k * s, (k + 1.0) * s
+    # Diagonal n holds a+ a = s[n-1]^2 (0 at n = 0) and a a+ = s[n]^2, so the
+    # a+ a - d band at n + 1 is the a a+ - d(n+1) band at n.  lp and nr, whose
+    # bands end a step early, keep the maxima from before the last step.
+    slp = lc = nr_all = qc = 0.0  # band maxima
+    dd_max = k1s_max = qp_max = 0.0  # operand maxima
+    adag_a = 0.0
+    for n, (sn, d0, d1) in enumerate(zip(s, d, d[1:dim])):
+        lp, nr = slp, nr_all
+        a_adag = sn * sn
+        dd = d1 - d0
+        x = abs(a_adag - d1)
+        if x > slp:
+            slp = x
+        x = abs((a_adag - adag_a) - dd)
+        if x > lc:
+            lc = x
+        x = abs(dd)
+        if x > dd_max:
+            dd_max = x
+        k1s = (n + 1.0) * sn  # N a+ band: ((k + 1) s[k] - k s[k]) - s[k]
+        if k1s > k1s_max:
+            k1s_max = k1s
+        x = abs((k1s - n * sn) - sn)
+        if x > nr_all:
+            nr_all = x
+        if bm:
+            q_pow = q**-n
+            x = abs((a_adag - q * adag_a) - q_pow)
+            if x > qc:
+                qc = x
+            if q_pow > qp_max:
+                qp_max = q_pow
+        adag_a = a_adag
 
-    # Diagonal bands keep n < dim - 1, off-diagonal bands k < dim - 2.
+    # Operands at n = dim - 1 join here; d(1..dim-1) >= 0, as s needs.
+    s_max = max(s)
+    sq_max = s_max * s_max
+    d_max = max(d[1:dim])
     residuals = {
-        "ladder_product": _residual((adag_a - d_n)[:-1], adag_a, d_n),
-        "shifted_ladder_product": _residual((a_adag - d_n1)[:-1], a_adag, d_n1),
-        "ladder_commutator": _residual(
-            ((a_adag - adag_a) - (d_n1 - d_n))[:-1], a_adag, adag_a, d_n1 - d_n
-        ),
-        "number_raises": _residual(((k1_s - k_s) - s)[:-1], k1_s, k_s, s),
-        "number_lowers": _residual(((k_s - k1_s) + s)[:-1], k_s, k1_s, s),
+        "ladder_product": max(lp, abs(d[0])) / max(1.0, sq_max, d_max, abs(d[0])),
+        "shifted_ladder_product": slp / max(1.0, sq_max, d_max, abs(d[dim])),
+        "ladder_commutator": lc / max(1.0, sq_max, dd_max, abs(d[dim] - d[dim - 1])),
+        "number_raises": nr / max(1.0, k1s_max),
     }
-    if scheme.kind == BIEDENHARN_MACFARLANE:
-        q_pow = scheme.q ** -np.arange(dim, dtype=float)
-        q_scaled = scheme.q * adag_a
-        residuals["q_commutation"] = _residual(
-            (a_adag - q_scaled - q_pow)[:-1], a_adag, q_scaled, q_pow
-        )
+    residuals["number_lowers"] = residuals["number_raises"]
+    if bm:
+        q_pow = q ** -(dim - 1)
+        residuals["q_commutation"] = qc / max(1.0, sq_max, q * sq_max, qp_max, q_pow)
     return AlgebraReport(dim=dim, tol=tol, residuals=residuals)

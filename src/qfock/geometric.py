@@ -194,8 +194,9 @@ def _weighted_terms(
        starts a run of zeros; any other term is tested against the limit
        tol * max(1, |running|), formed without builtin calls;
     2. at least the last, which was > 0: one more step of growth;
-    3. anything else (the last was 0, or a NaN is involved): a zero at
-       n >= 1 extends the run of zeros, which ends the scan at four.
+    3. anything else (the last was 0, or a NaN is involved): a NaN term
+       raises DivergenceError naming n, and a zero at n >= 1 extends the
+       run of zeros, which ends the scan at four.
 
     The stop rule is the same in every case as when all three tests ran on
     every term: the branches only order them.
@@ -238,6 +239,8 @@ def _weighted_terms(
                 )
         else:
             growth_run = 0
+            if mag != mag:  # a NaN term
+                raise DivergenceError(f"series term is NaN at n={n}")
             if mag != 0.0:
                 zero_run = 0
             elif n >= 1:

@@ -16,7 +16,6 @@ from qfock.expressions import (
     Number,
     Variable,
 )
-from qfock.fock_matrix import TruncatedOperator
 from qfock.paired_state import MomentSet
 
 
@@ -52,13 +51,18 @@ def undeformed_nbar_thermal(theta):
     return 1.0 / math.expm1(theta)
 
 
+def dense(op):
+    """The dense numpy matrix of a ``TruncatedOperator``."""
+    return np.array(op.entries)
+
+
 def projector(m, n, dim):
     """Matrix unit |m><n|: a single 1 at row m, column n."""
     if not (0 <= m < dim and 0 <= n < dim):
         raise IndexError(f"projector indices ({m}, {n}) out of range for dim {dim}")
     entries = np.zeros((dim, dim))
     entries[m, n] = 1.0
-    return TruncatedOperator(dim, entries)
+    return entries
 
 
 def deformation_diagonal(scheme, dim, shift=0):
@@ -68,24 +72,23 @@ def deformation_diagonal(scheme, dim, shift=0):
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    return TruncatedOperator(
-        dim, np.diag([eval_d(scheme, n + shift) for n in range(dim)])
-    )
+    return np.diag([eval_d(scheme, n + shift) for n in range(dim)])
 
 
 def commutator(a, b):
-    """AB - BA."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return TruncatedOperator(a.dim, a.entries @ b.entries - b.entries @ a.entries)
+    """AB - BA of two dense matrices."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
 
 
 def tensor_pair(a, b):
-    """Kronecker product acting on (physical, twin) mode pairs.
+    """Kronecker product of two dense matrices, acting on (physical, twin)
+    mode pairs.
 
     The result is (dim_a * dim_b)^2 entries, so keep dims small (<= 16).
     """
-    return TruncatedOperator(a.dim * b.dim, np.kron(a.entries, b.entries))
+    return np.kron(a, b)
 
 
 def _interior_residual(delta, *operands):
@@ -96,14 +99,15 @@ def _interior_residual(delta, *operands):
 
 def dense_algebra_residuals(scheme, dim):
     """Reference for ``verify_algebra(...).residuals``: the six ladder
-    products formed as dense dim x dim matrices, O(dim^3)."""
+    products formed as dense dim x dim matrices, O(dim^3).  The q^-n
+    diagonal is formed with Python's float power, as the library does."""
     if dim < 2:
         raise ValueError(f"need dim >= 2 to form an interior block, got {dim}")
-    a = annihilation_matrix(scheme, dim).entries
-    adag = creation_matrix(scheme, dim).entries
-    num = number_matrix(dim).entries
-    d_n = deformation_diagonal(scheme, dim).entries
-    d_n1 = deformation_diagonal(scheme, dim, shift=1).entries
+    a = dense(annihilation_matrix(scheme, dim))
+    adag = dense(creation_matrix(scheme, dim))
+    num = dense(number_matrix(dim))
+    d_n = deformation_diagonal(scheme, dim)
+    d_n1 = deformation_diagonal(scheme, dim, shift=1)
 
     adag_a = adag @ a
     a_adag = a @ adag
@@ -124,7 +128,7 @@ def dense_algebra_residuals(scheme, dim):
         "number_lowers": _interior_residual((n_a - a_n) + a, n_a, a_n, a),
     }
     if scheme.kind == BIEDENHARN_MACFARLANE:
-        q_pow = np.diag(scheme.q ** -np.arange(dim, dtype=float))
+        q_pow = np.diag([scheme.q**-n for n in range(dim)])
         q_scaled = scheme.q * adag_a
         residuals["q_commutation"] = _interior_residual(
             a_adag - q_scaled - q_pow, a_adag, q_scaled, q_pow
@@ -152,7 +156,7 @@ def reference_weighted_scan(scheme, ratio, tol, prefactor):
 
     The scan as it was before schemes carried a column: every term calls
     ``eval_d`` afresh, and the stop test forms its scale and tail estimate
-    on every term.
+    on every term.  A NaN term ends it at once.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
@@ -165,6 +169,8 @@ def reference_weighted_scan(scheme, ratio, tol, prefactor):
     zero_run = 0
     for n in range(200_000):
         t = eval_d(scheme, n) * prefactor * ratio**n
+        if math.isnan(t):
+            raise DivergenceError(f"series term is NaN at n={n}")
         terms.append(t)
         running += t
         mag = abs(t)

@@ -80,8 +80,7 @@ def test_scan_equals_per_call_reference(name):
 # The property below draws from these: SCHEMES, a law whose d(2) = 0, so
 # a zero term follows a positive one, and a law with d(n) = 1 at odd n and
 # n^2 at even n, whose terms at the huge prefactor and the underflowing
-# ratio alternate 0 and inf * 0 = NaN from n = 2 on: a NaN must end each
-# run of zeros, so that scan never settles.
+# ratio are 0, 1e108 and then inf * 0 = NaN at n = 2, where the scan ends.
 SCAN_SCHEMES = {
     **SCHEMES,
     "zero-at-2": lambda: DeformationScheme.custom("n*(n - 2)^2", 1.0),
@@ -130,6 +129,13 @@ def test_scan_routes_equal_reference_on_any_cell(name, ratio, tol, prefactor):
     _, want_cutoff = _reference_parts(_outcome(_reference_scan, make(), ratio, tol))
     assert _nan_safe(_outcome(weighted_series, make(), ratio, tol, prefactor)) == want_series
     assert _outcome(weighted_cutoff, make(), ratio, tol) == want_cutoff
+
+
+def test_nan_term_ends_the_scan_naming_n():
+    scheme = SCAN_SCHEMES["odd-ones"]()
+    with pytest.raises(DivergenceError, match=r"^series term is NaN at n=2$"):
+        weighted_series(scheme, UNDERFLOW_RATIO, 1e-12, HUGE_PREFACTOR)
+    assert len(scheme.d_values(0)) == 3  # no d(n) past n = 2 was asked for
 
 
 def test_scan_property_examples_reach_their_branches():

@@ -20,6 +20,7 @@ from qfock.fock_matrix import TruncatedOperator
 from helpers import (
     commutator,
     deformation_diagonal,
+    dense,
     dense_algebra_residuals,
     projector,
     tensor_pair,
@@ -34,11 +35,11 @@ def test_projector_entries():
     p = projector(0, 1, 3)
     expected = np.zeros((3, 3))
     expected[0, 1] = 1.0
-    assert (p.entries == expected).all()
+    assert (p == expected).all()
 
     diag = projector(2, 2, 3)
-    assert diag.entries[2, 2] == 1.0
-    assert diag.entries.sum() == 1.0
+    assert diag[2, 2] == 1.0
+    assert diag.sum() == 1.0
 
 
 @pytest.mark.parametrize("m,n", [(3, 0), (0, 3), (-1, 0), (0, -1)])
@@ -49,20 +50,21 @@ def test_projector_out_of_range(m, n):
 
 def test_annihilation_undeformed_dim4():
     a = annihilation_matrix(UNDEFORMED, 4)
+    assert (a.offset, a.band) == (1, (1.0, math.sqrt(2.0), math.sqrt(3.0)))
     expected = np.diag([1.0, math.sqrt(2.0), math.sqrt(3.0)], 1)
-    assert (a.entries == expected).all()
+    assert (dense(a) == expected).all()
 
 
 def test_annihilation_bm_dim3():
     a = annihilation_matrix(BM_TWO, 3)
     expected = np.diag([1.0, math.sqrt(2.5)], 1)
-    assert (a.entries == expected).all()
+    assert (dense(a) == expected).all()
 
 
 def test_annihilation_vacuum_only_space():
     a = annihilation_matrix(BM_TWO, 1)
-    assert a.entries.shape == (1, 1)
-    assert (a.entries == 0.0).all()
+    assert a.band == ()
+    assert a.entries == ((0.0,),)
 
 
 @pytest.mark.parametrize("scheme", [UNDEFORMED, BM_HALF, BM_TWO], ids=lambda s: s.label)
@@ -70,20 +72,23 @@ def test_annihilation_vacuum_only_space():
 def test_creation_is_transpose(scheme, dim):
     a = annihilation_matrix(scheme, dim)
     adag = creation_matrix(scheme, dim)
-    assert (adag.entries == a.entries.T).all()
+    assert (adag.offset, adag.band) == (-1, a.band)
+    assert (dense(adag) == dense(a).T).all()
 
 
 def test_creation_bm_half_subdiagonal():
     # q <-> 1/q symmetry puts the same sqrt(2.5) below the diagonal
     adag = creation_matrix(BM_HALF, 3)
-    assert adag.entries[1, 0] == 1.0
-    assert adag.entries[2, 1] == pytest.approx(math.sqrt(2.5), abs=1e-15)
+    assert adag.entries[1][0] == 1.0
+    assert adag.entries[2][1] == pytest.approx(math.sqrt(2.5), abs=1e-15)
 
 
 def test_number_and_identity():
-    assert (number_matrix(3).entries == np.diag([0.0, 1.0, 2.0])).all()
-    assert (identity_matrix(2).entries == np.eye(2)).all()
-    num = number_matrix(6).entries
+    assert number_matrix(3).entries == ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0))
+    assert identity_matrix(2).entries == ((1.0, 0.0), (0.0, 1.0))
+    for op in (number_matrix(4), identity_matrix(4)):
+        assert {type(v) for row in op.entries for v in row} == {float}
+    num = dense(number_matrix(6))
     for n in range(6):
         e = np.zeros(6)
         e[n] = 1.0
@@ -92,7 +97,7 @@ def test_number_and_identity():
 
 def test_deformation_diagonal_eigenvalues():
     for scheme in (UNDEFORMED, BM_TWO):
-        diag = deformation_diagonal(scheme, 8).entries
+        diag = deformation_diagonal(scheme, 8)
         for n in range(8):
             e = np.zeros(8)
             e[n] = 1.0
@@ -103,9 +108,9 @@ def test_ladder_product_diagonal_on_full_space():
     # a+ a = diag d(n) survives truncation everywhere, boundary included
     for scheme in (UNDEFORMED, BM_HALF, BM_TWO):
         for dim in (2, 16, 64):
-            a = annihilation_matrix(scheme, dim).entries
-            adag = creation_matrix(scheme, dim).entries
-            want = deformation_diagonal(scheme, dim).entries
+            a = dense(annihilation_matrix(scheme, dim))
+            adag = dense(creation_matrix(scheme, dim))
+            want = deformation_diagonal(scheme, dim)
             got = adag @ a
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale <= 1e-12
@@ -114,24 +119,24 @@ def test_ladder_product_diagonal_on_full_space():
 @pytest.mark.parametrize("scheme", [UNDEFORMED, BM_TWO], ids=lambda s: s.label)
 def test_number_commutators_on_interior(scheme):
     dim = 8
-    a = annihilation_matrix(scheme, dim)
-    adag = creation_matrix(scheme, dim)
-    num = number_matrix(dim)
-    raises = commutator(num, adag).entries - adag.entries
-    lowers = commutator(num, a).entries + a.entries
+    a = dense(annihilation_matrix(scheme, dim))
+    adag = dense(creation_matrix(scheme, dim))
+    num = dense(number_matrix(dim))
+    raises = commutator(num, adag) - adag
+    lowers = commutator(num, a) + a
     assert np.abs(raises[: dim - 1, : dim - 1]).max() <= 1e-12
     assert np.abs(lowers[: dim - 1, : dim - 1]).max() <= 1e-12
 
 
 def test_identity_commutes_exactly():
-    ident = identity_matrix(5)
-    a = annihilation_matrix(BM_TWO, 5)
-    assert (commutator(ident, a).entries == 0.0).all()
+    ident = dense(identity_matrix(5))
+    a = dense(annihilation_matrix(BM_TWO, 5))
+    assert (commutator(ident, a) == 0.0).all()
 
 
 def test_commutator_dimension_mismatch():
     with pytest.raises(ValueError):
-        commutator(number_matrix(3), number_matrix(4))
+        commutator(dense(number_matrix(3)), dense(number_matrix(4)))
 
 
 def test_verify_algebra_undeformed():
@@ -218,35 +223,51 @@ def test_negative_deformation_value_rejected():
     # 2n - n^2 passes the probes but turns negative at n = 3
     scheme = DeformationScheme.custom("2*n - n^2", 2.0)
     ok = annihilation_matrix(scheme, 3)  # needs d(1), d(2) = 0 only
-    assert ok.entries[1, 2] == 0.0
+    assert ok.band[1] == 0.0
     with pytest.raises(ValueError, match=r"d\(3\)"):
         annihilation_matrix(scheme, 4)
 
 
 def test_tensor_pair_matches_kron():
-    a = annihilation_matrix(UNDEFORMED, 3)
-    ident = identity_matrix(2)
+    a = dense(annihilation_matrix(UNDEFORMED, 3))
+    ident = dense(identity_matrix(2))
     combined = tensor_pair(a, ident)
-    assert combined.dim == 6
-    assert (combined.entries == np.kron(a.entries, ident.entries)).all()
+    assert combined.shape == (6, 6)
+    assert (combined == np.kron(a, ident)).all()
 
 
 def test_entries_are_frozen():
-    a = annihilation_matrix(UNDEFORMED, 3)
-    with pytest.raises(ValueError):
-        a.entries[0, 0] = 5.0
+    values = [1.0, 2.0]
+    op = TruncatedOperator(3, 1, values)
+    values[0] = 5.0  # the operator keeps its own copy
+    assert op.band == (1.0, 2.0)
+    with pytest.raises(TypeError):
+        op.band[0] = 5.0
+    with pytest.raises(TypeError):
+        op.entries[0][1] = 5.0
+    with pytest.raises(AttributeError):
+        op.band = (5.0, 5.0)
 
 
+# Each case gives the operator as (offset, band).
 @pytest.mark.parametrize(
     "dim,entries,message",
     [
-        (0, np.zeros((0, 0)), "dimension must be positive, got 0"),
-        (2, np.zeros((2, 3)), "entries have shape (2, 3), expected (2, 2)"),
-        (2, np.zeros(4), "entries have shape (4,), expected (2, 2)"),
-        (2, [[0.0, math.inf], [0.0, 0.0]], "entries must all be finite"),
-        (1, [[math.nan]], "entries must all be finite"),
+        (0, (0, ()), "dimension must be positive, got 0"),
+        (2, (1, (1.0, 2.0)), "band at offset 1 of a 2 x 2 matrix needs 1 values, got 2"),
+        (3, (0, (1.0,)), "band at offset 0 of a 3 x 3 matrix needs 3 values, got 1"),
+        (2, (1, (math.inf,)), "entries must all be finite"),
+        (1, (0, (math.nan,)), "entries must all be finite"),
+        (2, (-3, ()), "band at offset -3 of a 2 x 2 matrix needs -1 values, got 0"),
     ],
 )
 def test_operator_rejects_bad_entries(dim, entries, message):
+    offset, band = entries
     with pytest.raises(ValueError, match=re.escape(message)):
-        TruncatedOperator(dim, entries)
+        TruncatedOperator(dim, offset, band)
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+def test_entries_place_the_band(offset):
+    op = TruncatedOperator(3, offset, [float(k + 1) for k in range(3 - abs(offset))])
+    assert (dense(op) == np.diag(op.band, offset)).all()

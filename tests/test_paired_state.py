@@ -25,6 +25,7 @@ from qfock.paired_state import MomentSet, PairedDiagonalState
 
 from helpers import (
     close,
+    dense,
     dense_reduced_entropy_bits,
     geometric_probs,
     geometric_tail,
@@ -126,8 +127,8 @@ def test_moments_match_tensor_product_route(scheme):
     dim = count + 1  # one spare level so a a+ sees d(count) terms too
     a = annihilation_matrix(scheme, dim)
     ident = identity_matrix(dim)
-    a_phys = tensor_pair(a, ident).entries
-    a_twin = tensor_pair(ident, a).entries
+    a_phys = tensor_pair(dense(a), dense(ident))
+    a_twin = tensor_pair(dense(ident), dense(a))
     psi = np.zeros(dim * dim)
     for n, c in enumerate(state.coeffs):
         psi[n * dim + n] = c
