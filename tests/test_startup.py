@@ -1,7 +1,7 @@
 """Start-up: the package imports and runs every subcommand without numpy.
 
-The run is a fresh interpreter with numpy blocked, because numpy, once
-imported by any test in this process, stays in ``sys.modules``.
+Each case runs in a fresh interpreter, because numpy, once imported by any
+test in this process, stays in ``sys.modules``.
 """
 
 import hashlib
@@ -13,6 +13,8 @@ from pathlib import Path
 import qfock
 
 SRC = str(Path(qfock.__file__).resolve().parents[1])
+
+NO_NUMPY = 'sys.modules["numpy"] = None  # any import of numpy now fails'
 
 SWEEP_CALLS = [
     ["sweep", "squeezed", "--scheme", "bm", "--q", "0.5,2", "--xi", "0.1,1"],
@@ -53,17 +55,10 @@ exit 0
 """
 
 
-def test_every_subcommand_prints_pinned_bytes_without_numpy():
-    code = f"""\
-import sys
-sys.modules["numpy"] = None  # any import of numpy now fails
-import qfock.cli
-for argv in {SWEEP_CALLS + MATRIX_CALLS!r}:
-    print("exit", qfock.cli.main(argv), flush=True)
-"""
+def _run(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
@@ -71,6 +66,74 @@ for argv in {SWEEP_CALLS + MATRIX_CALLS!r}:
         timeout=120,
         check=False,
     )
+
+
+def _run_cli(calls, prelude: str = "") -> subprocess.CompletedProcess:
+    """``qfock.cli.main`` on each argv in one fresh process, each call's
+    exit code after its output, and last whether numpy was imported."""
+    code = f"""\
+import sys
+{prelude}
+import qfock, qfock.cli
+for argv in {calls!r}:
+    print("exit", qfock.cli.main(argv), flush=True)
+print("numpy imported:", sys.modules.get("numpy") is not None)
+"""
+    proc = _run(code)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_sweep_and_parse_never_import_numpy():
+    proc = _run_cli(SWEEP_CALLS)
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("exit ")] == [
+        "exit 0", "exit 0", "exit 0", "exit 1", "exit 0"
+    ]
+    assert lines[-1] == "numpy imported: False"
+    assert proc.stderr == "error: deformation value overflowed at n=1025 (q=2.0)\n"
+
+
+def test_sweep_and_parse_print_the_same_bytes_without_numpy():
+    plain = _run_cli(SWEEP_CALLS)
+    blocked = _run_cli(SWEEP_CALLS, NO_NUMPY)
+    assert (blocked.stdout, blocked.stderr) == (plain.stdout, plain.stderr)
+
+
+def test_verify_and_ops_print_the_same_bytes():
+    proc = _run_cli(MATRIX_CALLS)
+    assert proc.stdout == MATRIX_OUTPUT + "numpy imported: False\n"
+    assert proc.stderr == ""
+
+
+def test_matrix_names_load_on_first_access():
+    proc = _run(
+        """\
+import sys
+import qfock
+print("numpy" in sys.modules)
+from qfock import verify_algebra
+import qfock.fock_matrix
+print("numpy" in sys.modules, verify_algebra is qfock.fock_matrix.verify_algebra)
+print(all(getattr(qfock, name) is getattr(qfock.fock_matrix, name) for name in [
+    "annihilation_matrix", "creation_matrix", "number_matrix", "identity_matrix"
+]))
+print(hasattr(qfock, "no_such_name"))
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFalse True\nTrue\nFalse\n"
+
+
+def test_every_subcommand_prints_pinned_bytes_without_numpy():
+    code = f"""\
+import sys
+{NO_NUMPY}
+import qfock.cli
+for argv in {SWEEP_CALLS + MATRIX_CALLS!r}:
+    print("exit", qfock.cli.main(argv), flush=True)
+"""
+    proc = _run(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "error: deformation value overflowed at n=1025 (q=2.0)\n"
     sweeps = proc.stdout.removesuffix(MATRIX_OUTPUT)
