@@ -11,6 +11,10 @@ Grammar (whitespace insignificant, ASCII only)::
     atom   := NUMBER | "q" | "n" | FUNC "(" expr ")" | "(" expr ")"
 
 Parsing is total: trailing input after a complete expression is an error.
+One pattern, ``_TOKEN_RE``, reads the tokens.  A law holds at most 128
+operand and operator tokens (each makes one tree node) and at most 128
+``(``, so no accepted tree recurses deeply; ``render`` stays within both
+limits.  A literal must be finite: ``1e999`` is rejected at its position.
 Trees are immutable and evaluation is pure, so parsed expressions can be
 shared freely between concurrent callers.
 
@@ -100,125 +104,106 @@ class FunctionCall:
 
 ExpressionTree = Union[Number, Variable, Negate, BinaryOp, FunctionCall]
 
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPERATORS = "+-*/^()"
+_MAX_NODES = 128  # operand and operator tokens; each makes one tree node
+_MAX_OPEN = 128  # "(" tokens
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TOKEN_RE = re.compile(
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<operator>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", one of +-*/^(), or "end"
-    text: str
-    position: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, ending with ("end", "", len(source));
+    an operator's kind is its own character.  ExpressionError at the first
+    token past either limit."""
     tokens = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch.isspace():
-            i += 1
+    nodes = opened = 0
+    for match in _TOKEN_RE.finditer(source):
+        kind, text, position = match.lastgroup, match.group(), match.start()
+        if kind == "space":
             continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(source, i)
-        if m:
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(source)))
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text!r}", position)
+        if kind == "operator":
+            kind = text
+        if kind == "(":
+            opened += 1
+            if opened > _MAX_OPEN:
+                raise ExpressionError(f"more than {_MAX_OPEN} '('", position)
+        elif kind != ")":
+            nodes += 1
+            if nodes > _MAX_NODES:
+                message = f"more than {_MAX_NODES} operands and operators"
+                raise ExpressionError(message, position)
+        tokens.append((kind, text, position))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._index = 0
+    def __init__(self, source: str):
+        self._tokens = _tokenize(source)[::-1]  # the next token is last
 
     @property
-    def token(self) -> _Token:
-        return self._tokens[self._index]
-
-    def _advance(self) -> _Token:
-        token = self.token
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, description: str) -> _Token:
-        if self.token.kind != kind:
-            raise ExpressionError(f"expected {description}", self.token.position)
-        return self._advance()
+    def kind(self) -> str:
+        return self._tokens[-1][0]
 
     def parse(self) -> ExpressionTree:
-        tree = self._expr()
-        if self.token.kind != "end":
-            raise ExpressionError(
-                f"unexpected trailing input {self.token.text!r}", self.token.position
-            )
+        tree = self._binary(1)
+        kind, text, position = self._tokens[-1]
+        if kind != "end":
+            raise ExpressionError(f"unexpected trailing input {text!r}", position)
         return tree
 
-    def _expr(self) -> ExpressionTree:
-        node = self._term()
-        while self.token.kind in ("+", "-"):
-            op = self._advance().kind
-            node = BinaryOp(op, node, self._term())
-        return node
-
-    def _term(self) -> ExpressionTree:
-        node = self._factor()
-        while self.token.kind in ("*", "/"):
-            op = self._advance().kind
-            node = BinaryOp(op, node, self._factor())
+    def _binary(self, level: int) -> ExpressionTree:
+        """A left-associative chain of the operators of one precedence level
+        (1: + and -, 2: * and /) over operands of the level above."""
+        node = self._binary(2) if level == 1 else self._factor()
+        while _PRECEDENCE.get(self.kind) == level:
+            op = self._tokens.pop()[0]
+            node = BinaryOp(op, node, self._binary(2) if level == 1 else self._factor())
         return node
 
     def _factor(self) -> ExpressionTree:
         node = self._unary()
-        if self.token.kind == "^":
-            self._advance()
+        if self.kind == "^":
+            self._tokens.pop()
             node = BinaryOp("^", node, self._factor())
         return node
 
     def _unary(self) -> ExpressionTree:
-        if self.token.kind == "-":
-            self._advance()
+        if self.kind == "-":
+            self._tokens.pop()
             return Negate(self._unary())
         return self._atom()
 
     def _atom(self) -> ExpressionTree:
-        token = self.token
-        if token.kind == "number":
-            self._advance()
-            return Number(float(token.text))
-        if token.kind == "name":
-            self._advance()
-            if token.text in VARIABLES:
-                return Variable(token.text)
-            if self.token.kind == "(":
-                if token.text not in FUNCTIONS:
-                    raise ExpressionError(
-                        f"unknown function {token.text!r}", token.position
-                    )
-                self._advance()
-                argument = self._expr()
-                self._expect(")", "')'")
-                return FunctionCall(token.text, argument)
-            raise ExpressionError(f"unknown identifier {token.text!r}", token.position)
-        if token.kind == "(":
-            self._advance()
-            node = self._expr()
-            self._expect(")", "')'")
+        kind, text, position = self._tokens.pop()
+        if kind == "number":
+            value = float(text)
+            if value == math.inf:
+                raise ExpressionError(f"numeric literal {text!r} overflows", position)
+            return Number(value)
+        if kind == "name":
+            if text in VARIABLES:
+                return Variable(text)
+            if self.kind != "(":
+                raise ExpressionError(f"unknown identifier {text!r}", position)
+            if text not in FUNCTIONS:
+                raise ExpressionError(f"unknown function {text!r}", position)
+            return FunctionCall(text, self._atom())  # the "(" branch below
+        if kind == "(":
+            node = self._binary(1)
+            kind, _, position = self._tokens.pop()
+            if kind != ")":
+                raise ExpressionError("expected ')'", position)
             return node
         raise ExpressionError(
-            "expected a number, 'q', 'n', a function call, or '('", token.position
+            "expected a number, 'q', 'n', a function call, or '('", position
         )
 
 
@@ -226,9 +211,10 @@ def parse_deformation(source: str) -> ExpressionTree:
     """Parse expression text into an immutable tree.
 
     Raises ExpressionError (with a character position) on malformed input,
-    unknown identifiers, or unknown function names.
+    unknown identifiers or function names, a literal that overflows, or a
+    law past either 128-token limit.
     """
-    return _Parser(_tokenize(source)).parse()
+    return _Parser(source).parse()
 
 
 def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:

@@ -72,9 +72,10 @@ class GeometricLaw(NamedTuple):
 
     @classmethod
     def from_theta(cls, theta: float) -> "GeometricLaw":
-        """Temperature: r = e^-theta for theta = beta * omega > 0."""
-        if not theta > 0.0:
-            raise ValueError(f"theta must be positive, got {theta!r}")
+        """Temperature: r = e^-theta for theta = beta * omega > 0; ValueError
+        for a theta that is not finite and positive."""
+        if not 0.0 < theta < math.inf:
+            raise ValueError(f"theta must be a positive real, got {theta!r}")
         r, sqrt_r = math.exp(-theta), math.exp(-0.5 * theta)
         return cls(r, -math.expm1(-theta), sqrt_r, -math.expm1(-0.5 * theta), -theta)
 

@@ -15,7 +15,6 @@ in tests confirms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .deformation import DeformationScheme
@@ -45,11 +44,10 @@ class ThermalSpec:
     law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or self.theta <= 0.0:
-            raise ValueError(f"theta must be a positive real, got {self.theta!r}")
+        # The law checks theta first, so a bad theta is named before a bad tolerance.
+        object.__setattr__(self, "law", GeometricLaw.from_theta(self.theta))
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
-        object.__setattr__(self, "law", GeometricLaw.from_theta(self.theta))
 
 
 def thermal_probabilities(spec: ThermalSpec) -> list[float]:

@@ -565,3 +565,31 @@ def test_valid_call_after_a_rejected_flag_is_unchanged(capsys):
         _assert_usage_error(capsys.readouterr(), "error:")
         assert main(valid) == 0
         assert capsys.readouterr() == alone
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # each of these ended in a RecursionError traceback before the limits
+        (
+            ["parse", "(" * 197 + "n" + ")" * 197],
+            "error: more than 128 '(' (at position 128)",
+        ),
+        (
+            ["sweep", "squeezed", "--scheme", "expr:n" + "+0" * 980, "--xi", "0.1"],
+            "error: more than 128 operands and operators (at position 128)",
+        ),
+        (
+            ["verify", "--scheme", "expr:" + "exp(" * 197 + "n" + ")" * 197],
+            "error: more than 128 operands and operators (at position 512)",
+        ),
+        (["parse", "1e999"], "error: numeric literal '1e999' overflows (at position 0)"),
+        (
+            ["sweep", "squeezed", "--scheme", "expr:n+0*1e999", "--xi", "0.1"],
+            "error: numeric literal '1e999' overflows (at position 4)",
+        ),
+    ],
+)
+def test_law_past_the_parser_limits_is_one_error_line(capsys, argv, line):
+    assert main(argv) == 1
+    _assert_one_error_line(capsys.readouterr(), line)

@@ -200,3 +200,97 @@ def test_scheme_compiles_its_law_once(source, monkeypatch):
         got = _outcome(lambda: eval_d(scheme, n))
         assert got == _outcome(lambda: reference_evaluate_tree(scheme.expr, 1.5, float(n)))
     assert compiled == [scheme.expr]
+
+
+# The parser bounds what it accepts: at most 128 operand/operator tokens
+# (each makes one tree node) and at most 128 "(".  Each builder makes a law
+# with k counted tokens; at k = 129 the error sits at the 129th of them.
+TOO_MANY = "more than 128 operands and operators"
+LIMIT_CASES = [
+    ("parentheses", lambda k: "(" * k + "n" + ")" * k, 128, "more than 128 '('"),
+    ("minus-chain", lambda k: "-" * (k - 1) + "n", 128, TOO_MANY),
+    ("power-chain", lambda k: "-" * (1 - k % 2) + "n^" * ((k - 1) // 2) + "n", 128, TOO_MANY),
+    ("plus-chain", lambda k: "-" * (1 - k % 2) + "n+" * ((k - 1) // 2) + "n", 128, TOO_MANY),
+    ("nested-exp", lambda k: "exp(" * (k - 1) + "n" + ")" * (k - 1), 512, TOO_MANY),
+    # the deepest recursion the limits allow: six parser frames per "-("
+    ("negated-parentheses", lambda k: "-(" * (k - 1) + "n" + ")" * (k - 1), 256, TOO_MANY),
+]
+
+
+@pytest.mark.parametrize(
+    "build,position,message",
+    [case[1:] for case in LIMIT_CASES],
+    ids=[case[0] for case in LIMIT_CASES],
+)
+def test_parser_accepts_128_and_rejects_129(build, position, message):
+    tree = parse_deformation(build(128))
+    assert parse_deformation(render(tree)) == tree
+    try:
+        evaluate_tree(tree, 1.5, 0.5)
+    except EvaluationError:
+        pass
+    with pytest.raises(ExpressionError) as err:
+        parse_deformation(build(129))
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "source,position",
+    [("1e999", 0), ("n+0*1e999", 4), ("1.8e308", 0), ("exp( 2e400)", 5)],
+)
+def test_overflowing_literal_is_rejected_at_its_position(source, position):
+    literal = source[position:].rstrip(")")
+    with pytest.raises(ExpressionError) as err:
+        parse_deformation(source)
+    assert err.value.position == position
+    assert str(err.value) == f"numeric literal {literal!r} overflows (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "source,value", [("1e-999", 0.0), ("1.7976931348623157e308", 1.7976931348623157e308)]
+)
+def test_finite_extreme_literals_are_read(source, value):
+    assert parse_deformation(source) == Number(value)
+
+
+def _parseable(tree):
+    """The tree with every number made nonnegative, as the parser makes them."""
+    if isinstance(tree, Number):
+        return Number(abs(tree.value))
+    if isinstance(tree, Negate):
+        return Negate(_parseable(tree.operand))
+    if isinstance(tree, BinaryOp):
+        return BinaryOp(tree.op, _parseable(tree.left), _parseable(tree.right))
+    if isinstance(tree, FunctionCall):
+        return FunctionCall(tree.name, _parseable(tree.argument))
+    return tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_TREES.map(_parseable))
+def test_render_round_trips_random_trees(tree):
+    assert parse_deformation(render(tree)) == tree
+
+
+_TOKEN_TEXTS = [
+    "q", "n", "exp", "sqrt", "ln", "sin", "x", "e", "0", "1", "2.5", "3e-2",
+    "1e999", "1e-999", "+", "-", "*", "/", "^", "(", ")", "-(", "exp(", " ",
+    "\t", ".", "−",
+]  # fmt: skip
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=st.lists(st.sampled_from(_TOKEN_TEXTS), max_size=400).map("".join))
+def test_random_text_parses_or_fails_with_a_position(source):
+    try:
+        tree = parse_deformation(source)
+    except ExpressionError as err:
+        assert 0 <= err.position <= len(source)
+        return
+    assert parse_deformation(render(tree)) == tree
+    for q, n in ((0.5, 0.0), (2.0, 3.0)):
+        try:
+            evaluate_tree(tree, q, n)
+        except EvaluationError:
+            pass

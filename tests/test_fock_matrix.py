@@ -67,6 +67,13 @@ def test_annihilation_vacuum_only_space():
     assert a.entries == ((0.0,),)
 
 
+@pytest.mark.parametrize("ladder", [annihilation_matrix, creation_matrix])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_ladder_needs_a_positive_dimension(ladder, dim):
+    with pytest.raises(ValueError, match=re.escape(f"dimension must be positive, got {dim}")):
+        ladder(UNDEFORMED, dim)
+
+
 @pytest.mark.parametrize("scheme", [UNDEFORMED, BM_HALF, BM_TWO], ids=lambda s: s.label)
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
 def test_creation_is_transpose(scheme, dim):

@@ -85,6 +85,11 @@ def test_state_rejects_negative_or_non_finite_coefficients(coeffs):
         PairedDiagonalState(coeffs, 1.0)
 
 
+def test_state_needs_the_vacuum_coefficient():
+    with pytest.raises(ValueError, match="state needs at least the vacuum coefficient"):
+        PairedDiagonalState((), 0.0)
+
+
 def test_mass_deficit_beyond_tail_bound_rejected():
     with pytest.raises(ValueError, match="mass deficit"):
         from_probabilities([0.5], 1e-3)

@@ -79,6 +79,30 @@ def test_nonpositive_theta_rejected():
         thermal_entropy_bits(0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        GeometricLaw.from_theta,
+        lambda theta: ThermalSpec(theta=theta, scheme=UNDEFORMED),
+        thermal_entropy_bits,
+        lambda theta: thermal_nbar_closed_bm(2.0, theta),
+        lambda theta: thermal_variances_closed(theta, 0.0),
+    ],
+    ids=["law", "spec", "entropy", "nbar_closed_bm", "variances_closed"],
+)
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_theta_must_be_finite_and_positive(call, theta):
+    # the law checks theta, so no closed form reads theta = inf as the vacuum
+    message = f"theta must be a positive real, got {theta!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(theta)
+
+
+def test_bad_theta_is_named_before_bad_tolerance():
+    with pytest.raises(ValueError, match="theta must be a positive real, got inf"):
+        ThermalSpec(theta=math.inf, scheme=UNDEFORMED, tail_tol=2.0)
+
+
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, math.nan])
 def test_tail_tolerance_outside_unit_interval_rejected(tail_tol):
     message = f"tail tolerance must lie in (0, 1), got {tail_tol!r}"
@@ -163,6 +187,18 @@ def test_moments_closed_zero_temperature_limit():
     assert m.adag_a == pytest.approx(0.0, abs=1e-10)
     assert m.a_adag == pytest.approx(1.0, abs=1e-10)
     assert m.a_atilde == pytest.approx(0.0, abs=1e-10)
+
+
+def test_moments_closed_zero_mean_is_vacuum():
+    m = GeometricLaw.from_theta(1.0).moments(0.0)
+    assert (m.adag_a, m.a_adag, m.a_atilde, m.adag_atildedag) == (0.0, 1.0, 0.0, 0.0)
+
+
+def test_variances_closed_overflow_raises():
+    # <a a+> = nbar / r = 1e300 * e^700 is past the double range
+    law = GeometricLaw.from_theta(700.0)
+    with pytest.raises(OverflowError, match=re.escape(f"overflowed at r={law.r!r}")):
+        law.variances(1e300)
 
 
 def test_moments_closed_validation():
