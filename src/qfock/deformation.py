@@ -12,8 +12,10 @@ in the sinh form, which keeps full relative precision however close q is
 to 1; only q = 1 itself (the undeformed scheme) returns n directly.
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
-downstream assumes d(0) = 0 and d(1) = 1, and compiled once per scheme
-on first evaluation.
+downstream assumes d(0) = 0 and d(1) = 1.  On first evaluation a scheme
+takes its law's compiled function from ``expressions``, which generates
+and compiles the code of each distinct law once per process, and calls
+it for every d(n).
 
 Each scheme instance carries its own column d(0), d(1), ..., filled by
 ``eval_d`` on demand and shared by everything that reads the scheme, so a
@@ -122,7 +124,7 @@ class DeformationScheme:
         return _compile(self.expr)
 
     def __getstate__(self) -> dict:
-        # The compiled law is a closure, which cannot be pickled; an
+        # The compiled law is generated code, which cannot be pickled; an
         # unpickled scheme compiles its own on first use.
         state = self.__dict__.copy()
         state.pop("_compiled_expr", None)
@@ -136,7 +138,10 @@ class DeformationScheme:
         """
         column = self._column
         start = len(column)
-        if start < count:
+        if count == start + 1:
+            # The scan's step, one value at a time, by the same slice rule.
+            column[start : start + 1] = (eval_d(self, start),)
+        elif start < count:
             new = []
             try:
                 for n in range(start, count):

@@ -18,11 +18,14 @@ limits.  A literal must be finite: ``1e999`` is rejected at its position.
 Trees are immutable and evaluation is pure, so parsed expressions can be
 shared freely between concurrent callers.
 
-A tree is evaluated by compiling it into nested Python closures, one per
-node, that do a tree walk's float operations in the walk's order, so the
-values and error messages are those of walking the tree.  A deformation
-scheme compiles its law once and calls the result for every d(n);
-``evaluate_tree`` compiles afresh on each call.
+A tree is evaluated by generating one straight-line Python function of
+(q, n) for it, with one assignment per node in a tree walk's order, so
+the values and error messages are those of walking the tree.  Only fixed
+text and generated names enter the generated source; literals and
+functions are bound as its globals.  Each distinct law is compiled once
+per process: a bounded least-recently-used cache holds the compiled code,
+never a value of it.  A deformation scheme fetches its law once and calls
+it for every d(n); ``evaluate_tree`` fetches it on each call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 __all__ = [
@@ -221,64 +225,127 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
     """Evaluate a parsed expression at the point (q, n).
 
     Raises EvaluationError when the arithmetic leaves the finite reals
-    (division by zero, domain errors, overflow, complex powers).
+    (division by zero, domain errors, overflow, complex powers).  The law
+    is compiled by ``_compile``, whose cache makes a repeated one cheap.
     """
     return _compile(tree)(q, n)
 
 
+_CACHE_SIZE = 256  # compiled laws kept; the least recently used goes first
+# Codes for BinaryOp.op: the table's own strings enter the generated source,
+# never the tree's.  Any other op is a power, as in a walk of the tree.
+_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
+
 def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
-    """The tree as a function of (q, n) that returns exactly what
-    ``evaluate_tree`` returns and raises exactly what it raises."""
-    value_at = _closure(tree)
+    """The tree as a function of (q, n) that returns exactly what a walk
+    of the tree returns and raises exactly what ``evaluate_tree`` raises.
 
-    def law(q: float, n: float) -> float:
-        try:
-            value = value_at(q, n)
-        except ZeroDivisionError as exc:
-            raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
-        except ValueError as exc:
-            raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
-        if isinstance(value, complex) or not math.isfinite(value):
-            raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")
-        return value
-
-    return law
+    The walk is flattened into fixed codes and the objects they bind, and
+    ``_build`` turns those into one straight-line function.  Its cache is
+    keyed on the codes, the objects and their ``repr``, which tells the
+    literals 0.0 and -0.0 apart although they are equal.
+    """
+    codes, bound = _flatten(tree)
+    return _build(codes, bound, tuple(map(repr, bound)))
 
 
-def _closure(node: ExpressionTree) -> Callable[[float, float], float]:
-    """Nested closures doing a tree walk's float operations in its order:
-    the left operand before the right, then the operator."""
-    if isinstance(node, Number):
-        value = node.value
-        return lambda q, n: value
-    if isinstance(node, Variable):
-        return (lambda q, n: q) if node.name == "q" else (lambda q, n: n)
-    if isinstance(node, Negate):
-        operand = _closure(node.operand)
-        return lambda q, n: -operand(q, n)
-    if isinstance(node, FunctionCall):
-        function, argument = FUNCTIONS[node.name], _closure(node.argument)
-        return lambda q, n: function(argument(q, n))
-    left, right = _closure(node.left), _closure(node.right)
-    if node.op == "+":
-        return lambda q, n: left(q, n) + right(q, n)
-    if node.op == "-":
-        return lambda q, n: left(q, n) - right(q, n)
-    if node.op == "*":
-        return lambda q, n: left(q, n) * right(q, n)
-    if node.op == "/":
-        return lambda q, n: left(q, n) / right(q, n)
+def _flatten(tree: ExpressionTree) -> tuple[tuple[str, ...], tuple]:
+    """The tree's walk in postfix order (left operand, right operand, then
+    the operator) as codes, each a fixed string, and the objects that the
+    "g" codes bind in turn: literals, functions, and the name of a
+    function missing from FUNCTIONS, which only a hand-built tree holds."""
+    codes: list[str] = []
+    bound: list = []
 
-    def power(q: float, n: float) -> float:
-        base, exponent = left(q, n), right(q, n)
-        result = base**exponent
-        if isinstance(result, complex):
-            raise EvaluationError(f"complex power {base!r} ^ {exponent!r}")
-        return result
+    def walk(node: ExpressionTree) -> None:
+        if isinstance(node, Number):
+            codes.append("g")
+            bound.append(node.value)
+        elif isinstance(node, Variable):
+            codes.append("q" if node.name == "q" else "n")
+        elif isinstance(node, Negate):
+            walk(node.operand)
+            codes.append("neg")
+        elif isinstance(node, FunctionCall):
+            # The walk looks the function up before it evaluates the argument.
+            function = FUNCTIONS.get(node.name)
+            if function is None:
+                codes.extend(("g", "raise"))
+                bound.append(node.name)
+            else:
+                codes.append("g")
+                bound.append(function)
+            walk(node.argument)
+            codes.append("call")
+        else:
+            walk(node.left)
+            walk(node.right)
+            codes.append(_OPERATORS.get(node.op, "^"))
 
-    return power
+    walk(tree)
+    return tuple(codes), tuple(bound)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build(
+    codes: tuple[str, ...], bound: tuple, spellings: tuple[str, ...]
+) -> Callable[[float, float], float]:
+    """Generate, compile and return ``law(q, n)``: one assignment per node,
+    in the order of the codes, with ``evaluate_tree``'s error mapping.
+    Only fixed text and generated names enter the source; the bound
+    objects are the globals g0, g1, ...  ``spellings`` only keys the cache.
+    """
+    lines: list[str] = []
+    stack: list[str] = []  # names holding the operands not yet consumed
+    names = (f"g{i}" for i in range(len(bound)))
+    for code in codes:
+        if code in ("q", "n"):
+            stack.append(code)
+            continue
+        if code == "g":
+            stack.append(next(names))
+            continue
+        if code == "raise":
+            lines.append(f"raise KeyError({stack[-1]})")
+            continue
+        target = f"v{len(lines)}"
+        if code == "neg":
+            lines.append(f"{target} = -{stack.pop()}")
+        elif code == "call":
+            argument = stack.pop()
+            lines.append(f"{target} = {stack.pop()}({argument})")
+        else:
+            right, left = stack.pop(), stack.pop()
+            if code != "^":
+                lines.append(f"{target} = {left} {code} {right}")
+            else:
+                lines += (
+                    f"{target} = {left} ** {right}",
+                    f"if isinstance({target}, complex):",
+                    f'    raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")',
+                )
+        stack.append(target)
+    (value,) = stack
+    body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
+    source = (
+        "def law(q, n):\n"
+        "    try:\n"
+        f"{body}"
+        "    except ZeroDivisionError as exc:\n"
+        '        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc\n'
+        "    except OverflowError as exc:\n"
+        '        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc\n'
+        "    except ValueError as exc:\n"
+        '        raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc\n'
+        f"    if isinstance({value}, complex) or not isfinite({value}):\n"
+        f'        raise EvaluationError(f"non-finite value {{{value}!r}} at q={{q!r}}, n={{n!r}}")\n'
+        f"    return {value}\n"
+    )
+    namespace = {f"g{i}": value for i, value in enumerate(bound)}
+    namespace.update(EvaluationError=EvaluationError, isfinite=math.isfinite)
+    exec(compile(source, "<expr law>", "exec"), namespace)
+    return namespace["law"]
 
 
 def render(tree: ExpressionTree) -> str:

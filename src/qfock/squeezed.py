@@ -40,6 +40,11 @@ class SqueezedSpec:
     def __post_init__(self):
         # The law checks xi first, so a bad xi is named before a bad tolerance.
         object.__setattr__(self, "law", GeometricLaw.from_xi(self.xi))
+        if self.law.r == 1.0:  # |xi| above about 19.06; no cutoff exists
+            raise ValueError(
+                f"squeezing parameter xi={self.xi!r} rounds the pair-number "
+                "ratio tanh^2 xi to 1"
+            )
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
 

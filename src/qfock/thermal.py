@@ -46,6 +46,8 @@ class ThermalSpec:
     def __post_init__(self):
         # The law checks theta first, so a bad theta is named before a bad tolerance.
         object.__setattr__(self, "law", GeometricLaw.from_theta(self.theta))
+        if self.law.r == 1.0:  # theta up to 2^-54; no cutoff exists
+            raise ValueError(f"theta={self.theta!r} rounds the pair-number ratio e^-theta to 1")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
 

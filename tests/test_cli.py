@@ -539,6 +539,15 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["sweep", "squeezed", "--xi", "400"],
             "error: squeezing parameter xi=400.0 overflows the pair-number law (|xi| > 354.89)",
         ),
+        # the ratio of the law rounds to 1: e^-theta at theta <= 2^-54, tanh^2 xi past 19.06
+        (
+            ["sweep", "thermal", "--theta", "1e-17,1"],
+            "error: theta=1e-17 rounds the pair-number ratio e^-theta to 1",
+        ),
+        (
+            ["sweep", "squeezed", "--xi", "20,1"],
+            "error: squeezing parameter xi=20.0 rounds the pair-number ratio tanh^2 xi to 1",
+        ),
     ],
 )
 def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):

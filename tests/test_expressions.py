@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import deformation, expressions
+from qfock.cli import SweepSpec, run_sweep
 from qfock.deformation import DeformationScheme, eval_d
 from qfock.expressions import (
     FUNCTIONS,
@@ -200,6 +201,102 @@ def test_scheme_compiles_its_law_once(source, monkeypatch):
         got = _outcome(lambda: eval_d(scheme, n))
         assert got == _outcome(lambda: reference_evaluate_tree(scheme.expr, 1.5, float(n)))
     assert compiled == [scheme.expr]
+
+
+# Hand-built trees may hold any string; the generated code must read each
+# one as the walk does (an unknown op is a power, any name but "q" is n, an
+# unknown function fails when looked up) and never paste it into source.
+HOSTILE = "+ __import__('os').getpid() +"
+HOSTILE_TREES = [
+    BinaryOp(HOSTILE, Variable("n"), Number(2.0)),
+    BinaryOp(HOSTILE, Number(-2.0), Number(0.5)),  # the power's complex check
+    Variable(HOSTILE),
+    BinaryOp("-", Variable("(q + n)"), Variable("q")),
+    Negate(Variable("q\n    return 0")),
+    FunctionCall(HOSTILE, Variable("n")),
+    FunctionCall("exp", FunctionCall("exp(", Variable("q"))),
+    # the left operand's error comes first ...
+    BinaryOp("+", BinaryOp("/", Number(1.0), Number(0.0)), FunctionCall(HOSTILE, Variable("n"))),
+    # ... and the lookup comes before its argument
+    BinaryOp("+", FunctionCall(HOSTILE, BinaryOp("/", Number(1.0), Number(0.0))), Variable("n")),
+]
+_FIXED_NAMES = {
+    "isinstance", "complex", "isfinite", "EvaluationError", "KeyError",
+    "ZeroDivisionError", "OverflowError", "ValueError",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("tree", HOSTILE_TREES)
+def test_hand_built_strings_evaluate_as_the_walk_reads_them(tree):
+    try:  # a parsed law that renders alike goes first, so a text-keyed cache fails
+        evaluate_tree(parse_deformation(render(tree)), 2.0, 3.0)
+    except (ExpressionError, EvaluationError):
+        pass
+    for q, n in ((0.5, 0.0), (2.0, 3.0)):
+        got = _outcome(lambda: evaluate_tree(tree, q, n))
+        assert got == _outcome(lambda: reference_evaluate_tree(tree, q, n)), (q, n)
+    names = set(expressions._compile(tree).__code__.co_names)
+    assert {name for name in names if not name.lstrip("g").isdigit()} <= _FIXED_NAMES
+
+
+ZERO_TREES = [
+    Number(0.0),
+    Number(-0.0),
+    BinaryOp("*", Variable("n"), Number(0.0)),
+    BinaryOp("*", Variable("n"), Number(-0.0)),
+    parse_deformation("n*0.0"),
+    parse_deformation("n*(-0.0)"),
+    parse_deformation("-(0.0)"),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_sign_of_zero_survives_the_cache(order):
+    # 0.0 == -0.0, so a cache keyed on equal trees would hand one law the other's code
+    expressions._build.cache_clear()
+    for tree in ZERO_TREES[::order]:
+        got = evaluate_tree(tree, 2.0, 3.0)
+        assert repr(got) == repr(reference_evaluate_tree(tree, 2.0, 3.0)), tree
+
+
+def test_compiled_laws_are_kept_up_to_the_bound():
+    expressions._build.cache_clear()
+    bound = expressions._CACHE_SIZE
+    for k in range(bound + 10):
+        assert evaluate_tree(parse_deformation(f"n*{k}"), 1.0, 2.0) == 2.0 * k
+    info = expressions._build.cache_info()
+    assert info.currsize == info.maxsize == bound
+    assert info.misses == bound + 10
+
+
+@pytest.mark.parametrize("family", ["squeezed", "thermal"])
+def test_expr_sweep_evaluates_each_value_once_per_column(monkeypatch, family):
+    calls, law_calls = [], []
+    cosh = FUNCTIONS["cosh"]
+
+    def counted(scheme, n):
+        calls.append((scheme.q, n))
+        return eval_d(scheme, n)
+
+    def counted_cosh(x):
+        law_calls.append(x)
+        return cosh(x)
+
+    monkeypatch.setattr(deformation, "eval_d", counted)
+    monkeypatch.setitem(FUNCTIONS, "cosh", counted_cosh)
+    law = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"
+    spec = SweepSpec(family, law, (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
+    first = run_sweep(spec)
+    first_calls = list(calls)
+    calls.clear()
+    law_calls.clear()
+    # A second identical sweep recomputes every value: the code of the law
+    # is kept, but no value outlives a call.  The law runs once per d(n)
+    # and twice more per scheme, for the probes at n = 0 and n = 1.
+    assert run_sweep(spec) == first
+    assert calls == first_calls
+    assert len(calls) == len(set(calls)) > 0
+    assert len(law_calls) == len(calls) + 2 * len(spec.q_values)
 
 
 # The parser bounds what it accepts: at most 128 operand/operator tokens
