@@ -137,19 +137,10 @@ class DeformationScheme:
         error propagates; the next call that needs d(n) raises it again.
         """
         column = self._column
-        start = len(column)
-        if count == start + 1:
-            # The scan's step, one value at a time, by the same slice rule.
-            column[start : start + 1] = (eval_d(self, start),)
-        elif start < count:
-            new = []
-            try:
-                for n in range(start, count):
-                    new.append(eval_d(self, n))
-            finally:
-                # Another thread may have grown the column meanwhile; the
-                # values agree, so the slice only ever lengthens it.
-                column[start : start + len(new)] = new
+        for n in range(len(column), count):
+            # Another thread may have grown the column meanwhile; the values
+            # agree, so the slice only ever lengthens it.
+            column[n : n + 1] = (eval_d(self, n),)
         return column
 
     @property

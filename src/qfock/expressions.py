@@ -232,8 +232,8 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
 
 
 _CACHE_SIZE = 256  # compiled laws kept; the least recently used goes first
-# Codes for BinaryOp.op: the table's own strings enter the generated source,
-# never the tree's.  Any other op is a power, as in a walk of the tree.
+# Spellings of BinaryOp.op: the table's own strings enter the generated
+# source, never the tree's.  Any other op is a power, as in a walk of the tree.
 _OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 
@@ -241,92 +241,52 @@ def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
     """The tree as a function of (q, n) that returns exactly what a walk
     of the tree returns and raises exactly what ``evaluate_tree`` raises.
 
-    The walk is flattened into fixed codes and the objects they bind, and
-    ``_build`` turns those into one straight-line function.  Its cache is
-    keyed on the codes, the objects and their ``repr``, which tells the
-    literals 0.0 and -0.0 apart although they are equal.
-    """
-    codes, bound = _flatten(tree)
-    return _build(codes, bound, tuple(map(repr, bound)))
-
-
-def _flatten(tree: ExpressionTree) -> tuple[tuple[str, ...], tuple]:
-    """The tree's walk in postfix order (left operand, right operand, then
-    the operator) as codes, each a fixed string, and the objects that the
-    "g" codes bind in turn: literals, functions, and the name of a
-    function missing from FUNCTIONS, which only a hand-built tree holds."""
-    codes: list[str] = []
-    bound: list = []
-
-    def walk(node: ExpressionTree) -> None:
-        if isinstance(node, Number):
-            codes.append("g")
-            bound.append(node.value)
-        elif isinstance(node, Variable):
-            codes.append("q" if node.name == "q" else "n")
-        elif isinstance(node, Negate):
-            walk(node.operand)
-            codes.append("neg")
-        elif isinstance(node, FunctionCall):
-            # The walk looks the function up before it evaluates the argument.
-            function = FUNCTIONS.get(node.name)
-            if function is None:
-                codes.extend(("g", "raise"))
-                bound.append(node.name)
-            else:
-                codes.append("g")
-                bound.append(function)
-            walk(node.argument)
-            codes.append("call")
-        else:
-            walk(node.left)
-            walk(node.right)
-            codes.append(_OPERATORS.get(node.op, "^"))
-
-    walk(tree)
-    return tuple(codes), tuple(bound)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _build(
-    codes: tuple[str, ...], bound: tuple, spellings: tuple[str, ...]
-) -> Callable[[float, float], float]:
-    """Generate, compile and return ``law(q, n)``: one assignment per node,
-    in the order of the codes, with ``evaluate_tree``'s error mapping.
-    Only fixed text and generated names enter the source; the bound
-    objects are the globals g0, g1, ...  ``spellings`` only keys the cache.
+    A walk of the tree writes the source of ``law(q, n)``: one assignment
+    per node, in the walk's order (left operand, right operand, then the
+    operator), with ``evaluate_tree``'s error mapping around them.  Only
+    fixed text and generated names enter the source: literals and
+    functions are bound as the globals g0, g1, ...  ``_build`` compiles
+    it, keyed on the source, the bound objects and their ``repr``, which
+    tells the literals 0.0 and -0.0 apart although they are equal.
     """
     lines: list[str] = []
-    stack: list[str] = []  # names holding the operands not yet consumed
-    names = (f"g{i}" for i in range(len(bound)))
-    for code in codes:
-        if code in ("q", "n"):
-            stack.append(code)
-            continue
-        if code == "g":
-            stack.append(next(names))
-            continue
-        if code == "raise":
-            lines.append(f"raise KeyError({stack[-1]})")
-            continue
-        target = f"v{len(lines)}"
-        if code == "neg":
-            lines.append(f"{target} = -{stack.pop()}")
-        elif code == "call":
-            argument = stack.pop()
-            lines.append(f"{target} = {stack.pop()}({argument})")
-        else:
-            right, left = stack.pop(), stack.pop()
-            if code != "^":
-                lines.append(f"{target} = {left} {code} {right}")
+    bound: list = []
+
+    def bind(value) -> str:
+        bound.append(value)
+        return f"g{len(bound) - 1}"
+
+    def walk(node: ExpressionTree) -> str:
+        """Write the lines that compute the node; return the name holding it."""
+        if isinstance(node, Number):
+            return bind(node.value)
+        if isinstance(node, Variable):
+            return "q" if node.name == "q" else "n"
+        if isinstance(node, Negate):
+            value = f"-{walk(node.operand)}"
+        elif isinstance(node, FunctionCall):
+            # The walk looks the function up before it evaluates the argument;
+            # only a hand-built tree names a function missing from FUNCTIONS.
+            if node.name in FUNCTIONS:
+                function = bind(FUNCTIONS[node.name])
             else:
-                lines += (
-                    f"{target} = {left} ** {right}",
-                    f"if isinstance({target}, complex):",
-                    f'    raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")',
-                )
-        stack.append(target)
-    (value,) = stack
+                function = bind(node.name)
+                lines.append(f"raise KeyError({function})")
+            value = f"{function}({walk(node.argument)})"
+        else:
+            left, right = walk(node.left), walk(node.right)
+            op = _OPERATORS.get(node.op, "**")  # any other op is a power
+            value = f"{left} {op} {right}"
+        target = f"v{len(lines)}"
+        lines.append(f"{target} = {value}")
+        if isinstance(node, BinaryOp) and op == "**":
+            lines.append(
+                f"if isinstance({target}, complex): "
+                f'raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")'
+            )
+        return target
+
+    value = walk(tree)
     body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
     source = (
         "def law(q, n):\n"
@@ -342,6 +302,16 @@ def _build(
         f'        raise EvaluationError(f"non-finite value {{{value}!r}} at q={{q!r}}, n={{n!r}}")\n'
         f"    return {value}\n"
     )
+    return _build(source, tuple(bound), tuple(map(repr, bound)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build(
+    source: str, bound: tuple, spellings: tuple[str, ...]
+) -> Callable[[float, float], float]:
+    """Compile the source of ``law(q, n)`` with the bound objects as its
+    globals g0, g1, ... and return the law.  ``spellings`` only keys the
+    cache."""
     namespace = {f"g{i}": value for i, value in enumerate(bound)}
     namespace.update(EvaluationError=EvaluationError, isfinite=math.isfinite)
     exec(compile(source, "<expr law>", "exec"), namespace)

@@ -21,6 +21,7 @@ from qfock import (
     verify_algebra,
 )
 from qfock.deformation import eval_d
+from qfock.expressions import FUNCTIONS
 from qfock.cli import SweepSpec, run_sweep
 from qfock.geometric import weighted_cutoff, weighted_series
 
@@ -247,23 +248,45 @@ def test_threads_sharing_a_scheme_get_the_serial_results():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("family", ["squeezed", "thermal"])
-def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family):
-    calls = []
+COUNTED_LAW = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"  # the quadratic law
+
+
+@pytest.mark.parametrize(
+    "family, law",
+    [
+        pytest.param("squeezed", "bm", id="squeezed"),
+        pytest.param("thermal", "bm", id="thermal"),
+        pytest.param("squeezed", COUNTED_LAW, id="squeezed-expr"),
+        pytest.param("thermal", COUNTED_LAW, id="thermal-expr"),
+    ],
+)
+def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family, law):
+    calls, law_calls = [], []
+    cosh = FUNCTIONS["cosh"]
 
     def counted(scheme, n):
         calls.append((scheme.q, n))
         return eval_d(scheme, n)
 
+    def counted_cosh(x):
+        law_calls.append(x)
+        return cosh(x)
+
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
-    spec = SweepSpec(family, "bm", (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
+    monkeypatch.setitem(FUNCTIONS, "cosh", counted_cosh)
+    spec = SweepSpec(family, law, (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
     first = run_sweep(spec)
     first_calls = list(calls)
     calls.clear()
+    law_calls.clear()
     # A second identical sweep recomputes everything: no cache outlives a call.
     assert run_sweep(spec) == first
     assert calls == first_calls
     assert len(calls) == len(set(calls)) > 0
+    if law == COUNTED_LAW:
+        # The code of the law is kept, but it runs once per d(n) and twice
+        # more per scheme, for the probes at n = 0 and n = 1.
+        assert len(law_calls) == len(calls) + 2 * len(spec.q_values)
 
 
 @pytest.mark.parametrize("name", SCHEMES)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import deformation, expressions
-from qfock.cli import SweepSpec, run_sweep
 from qfock.deformation import DeformationScheme, eval_d
 from qfock.expressions import (
     FUNCTIONS,
@@ -267,36 +266,6 @@ def test_compiled_laws_are_kept_up_to_the_bound():
     info = expressions._build.cache_info()
     assert info.currsize == info.maxsize == bound
     assert info.misses == bound + 10
-
-
-@pytest.mark.parametrize("family", ["squeezed", "thermal"])
-def test_expr_sweep_evaluates_each_value_once_per_column(monkeypatch, family):
-    calls, law_calls = [], []
-    cosh = FUNCTIONS["cosh"]
-
-    def counted(scheme, n):
-        calls.append((scheme.q, n))
-        return eval_d(scheme, n)
-
-    def counted_cosh(x):
-        law_calls.append(x)
-        return cosh(x)
-
-    monkeypatch.setattr(deformation, "eval_d", counted)
-    monkeypatch.setitem(FUNCTIONS, "cosh", counted_cosh)
-    law = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"
-    spec = SweepSpec(family, law, (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
-    first = run_sweep(spec)
-    first_calls = list(calls)
-    calls.clear()
-    law_calls.clear()
-    # A second identical sweep recomputes every value: the code of the law
-    # is kept, but no value outlives a call.  The law runs once per d(n)
-    # and twice more per scheme, for the probes at n = 0 and n = 1.
-    assert run_sweep(spec) == first
-    assert calls == first_calls
-    assert len(calls) == len(set(calls)) > 0
-    assert len(law_calls) == len(calls) + 2 * len(spec.q_values)
 
 
 # The parser bounds what it accepts: at most 128 operand/operator tokens
