@@ -137,10 +137,12 @@ class DeformationScheme:
         error propagates; the next call that needs d(n) raises it again.
         """
         column = self._column
-        for n in range(len(column), count):
+        n = len(column)
+        while n < count:
             # Another thread may have grown the column meanwhile; the values
             # agree, so the slice only ever lengthens it.
             column[n : n + 1] = (eval_d(self, n),)
+            n += 1
         return column
 
     @property
