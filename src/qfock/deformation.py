@@ -137,12 +137,17 @@ class DeformationScheme:
         error propagates; the next call that needs d(n) raises it again.
         """
         column = self._column
-        n = len(column)
-        while n < count:
-            # Another thread may have grown the column meanwhile; the values
-            # agree, so the slice only ever lengthens it.
-            column[n : n + 1] = (eval_d(self, n),)
-            n += 1
+        start = n = len(column)
+        if n < count:
+            new = []
+            try:
+                while n < count:  # cheaper than a range for the scan's one value per call
+                    new.append(eval_d(self, n))
+                    n += 1
+            finally:
+                # Another thread may have grown the column meanwhile; the
+                # values agree, so the slice only ever lengthens it.
+                column[start:n] = new
         return column
 
     @property
