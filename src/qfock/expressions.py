@@ -275,23 +275,26 @@ def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
             value = f"{function}({walk(node.argument)})"
         else:
             left, right = walk(node.left), walk(node.right)
-            op = _OPERATORS.get(node.op, "**")  # any other op is a power
+            op = _OPERATORS.get(node.op)
+            if op is None:  # any other op is a power
+                target = f"v{len(lines)}"
+                lines.append(f"{target} = {left} ** {right}")
+                lines.append(
+                    f"if isinstance({target}, complex): "
+                    f'raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")'
+                )
+                return target
             value = f"{left} {op} {right}"
         target = f"v{len(lines)}"
         lines.append(f"{target} = {value}")
-        if isinstance(node, BinaryOp) and op == "**":
-            lines.append(
-                f"if isinstance({target}, complex): "
-                f'raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")'
-            )
         return target
 
     value = walk(tree)
-    body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
+    body = "\n        ".join(lines) or "pass"
     source = (
         "def law(q, n):\n"
         "    try:\n"
-        f"{body}"
+        f"        {body}\n"
         "    except ZeroDivisionError as exc:\n"
         '        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc\n'
         "    except OverflowError as exc:\n"
