@@ -12,10 +12,9 @@ in the sinh form, which keeps full relative precision however close q is
 to 1; only q = 1 itself (the undeformed scheme) returns n directly.
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
-downstream assumes d(0) = 0 and d(1) = 1.  On first evaluation a scheme
-takes its law's compiled function from ``expressions``, which generates
-and compiles the code of each distinct law once per process, and calls
-it for every d(n).
+downstream assumes d(0) = 0 and d(1) = 1.  Every value of such a law,
+probes included, comes from ``expressions.evaluate_tree``, which compiles
+the scheme's tree on the first call and keeps its law while the tree lives.
 
 Each scheme instance carries its own column d(0), d(1), ..., filled by
 ``eval_d`` on demand and shared by everything that reads the scheme, so a
@@ -29,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .expressions import (
     EvaluationError,
     ExpressionTree,
-    _compile,
     evaluate_tree,
     parse_deformation,
     render,
@@ -118,18 +115,6 @@ class DeformationScheme:
         """lam = ln q, the parameter of the sinh form of the symmetric law."""
         return math.log(self.q)
 
-    @cached_property
-    def _compiled_expr(self) -> Callable[[float, float], float]:
-        """A custom law's tree, compiled once and called for every d(n)."""
-        return _compile(self.expr)
-
-    def __getstate__(self) -> dict:
-        # The compiled law is generated code, which cannot be pickled; an
-        # unpickled scheme compiles its own on first use.
-        state = self.__dict__.copy()
-        state.pop("_compiled_expr", None)
-        return state
-
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown by ``eval_d`` to at least
         ``count`` values, in order, and returned itself (read-only; it may
@@ -164,7 +149,7 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
     if m != n or m < 0:
         raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
     if scheme.kind == CUSTOM:
-        return scheme._compiled_expr(scheme.q, float(m))
+        return evaluate_tree(scheme.expr, scheme.q, float(m))
     lam = scheme.lam
     if lam == 0.0:
         return float(m)

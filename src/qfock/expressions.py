@@ -22,16 +22,18 @@ A tree is evaluated by generating one straight-line Python function of
 (q, n) for it, with one assignment per node in a tree walk's order, so
 the values and error messages are those of walking the tree.  Only fixed
 text and generated names enter the generated source; literals and
-functions are bound as its globals.  Each distinct law is compiled once
-per process: a bounded least-recently-used cache holds the compiled code,
-never a value of it.  A deformation scheme fetches its law once and calls
-it for every d(n); ``evaluate_tree`` fetches it on each call.
+functions are bound as its globals.  ``evaluate_tree`` keeps each live
+tree's function, keyed by the tree's identity and dropped when the tree
+is collected, so a tree is walked into source once.  Across trees, each
+distinct law is compiled once per process: a bounded least-recently-used
+cache holds the compiled code, never a value of it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -225,12 +227,23 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
     """Evaluate a parsed expression at the point (q, n).
 
     Raises EvaluationError when the arithmetic leaves the finite reals
-    (division by zero, domain errors, overflow, complex powers).  The law
-    is compiled by ``_compile``, whose cache makes a repeated one cheap.
+    (division by zero, domain errors, overflow, complex powers).  The
+    first call on a tree compiles it with ``_compile``; the law is kept
+    while the tree lives, and later calls on the tree only run it.
     """
-    return _compile(tree)(q, n)
+    try:
+        law = _LAWS[id(tree)]
+    except KeyError:
+        law = _compile(tree)
+        # Keyed by identity, not value: Number(0.0) == Number(-0.0), and
+        # hashing a tree walks it.  The entry goes with the tree, so a later
+        # tree that reuses the id never finds this law.
+        weakref.finalize(tree, _LAWS.pop, id(tree), None)
+        _LAWS[id(tree)] = law
+    return law(q, n)
 
 
+_LAWS: dict[int, Callable[[float, float], float]] = {}  # id(tree) -> its law
 _CACHE_SIZE = 256  # compiled laws kept; the least recently used goes first
 # Spellings of BinaryOp.op: the table's own strings enter the generated
 # source, never the tree's.  Any other op is a power, as in a walk of the tree.
@@ -239,7 +252,8 @@ _OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
     """The tree as a function of (q, n) that returns exactly what a walk
-    of the tree returns and raises exactly what ``evaluate_tree`` raises.
+    of the tree returns and raises exactly what ``evaluate_tree`` raises;
+    ``evaluate_tree`` calls it once per live tree.
 
     A walk of the tree writes the source of ``law(q, n)``: one assignment
     per node, in the walk's order (left operand, right operand, then the

@@ -74,9 +74,9 @@ def _ladder_values(scheme: DeformationScheme, dim: int) -> list[float]:
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     try:
-        column, failed = scheme.d_values(dim), False
-    except ArithmeticError:
-        column, failed = scheme.d_values(0), True
+        column, error = scheme.d_values(dim), None
+    except ArithmeticError as exc:
+        column, error = scheme.d_values(0), exc
     values = column[1:dim]
     for n, value in enumerate(values, 1):
         if value < 0.0:
@@ -84,8 +84,8 @@ def _ladder_values(scheme: DeformationScheme, dim: int) -> list[float]:
                 f"deformation value d({n}) = {value!r} is negative; "
                 "ladder entries need d >= 0"
             )
-    if failed:
-        scheme.d_values(dim)  # raises the evaluation error again
+    if error is not None:
+        raise error
     return list(map(math.sqrt, values))
 
 

@@ -1,9 +1,11 @@
 """Parser and evaluator tests for deformation expressions."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock import deformation, expressions
+from qfock import expressions
 from qfock.deformation import DeformationScheme, eval_d
 from qfock.expressions import (
     FUNCTIONS,
@@ -189,12 +191,13 @@ def test_compiled_matches_tree_walk_on_random_trees(tree, q, n):
 )
 def test_scheme_compiles_its_law_once(source, monkeypatch):
     compiled = []
+    compile_law = expressions._compile
 
     def counting_compile(tree):
         compiled.append(tree)
-        return expressions._compile(tree)
+        return compile_law(tree)
 
-    monkeypatch.setattr(deformation, "_compile", counting_compile)
+    monkeypatch.setattr(expressions, "_compile", counting_compile)
     scheme = DeformationScheme.custom(source, 1.5)
     for n in range(800):  # the last law overflows from n = 710
         got = _outcome(lambda: eval_d(scheme, n))
@@ -238,22 +241,24 @@ def test_hand_built_strings_evaluate_as_the_walk_reads_them(tree):
     assert {name for name in names if not name.lstrip("g").isdigit()} <= _FIXED_NAMES
 
 
-ZERO_TREES = [
-    Number(0.0),
-    Number(-0.0),
-    BinaryOp("*", Variable("n"), Number(0.0)),
-    BinaryOp("*", Variable("n"), Number(-0.0)),
-    parse_deformation("n*0.0"),
-    parse_deformation("n*(-0.0)"),
-    parse_deformation("-(0.0)"),
-]
+def _zero_trees():
+    return [
+        Number(0.0),
+        Number(-0.0),
+        BinaryOp("*", Variable("n"), Number(0.0)),
+        BinaryOp("*", Variable("n"), Number(-0.0)),
+        parse_deformation("n*0.0"),
+        parse_deformation("n*(-0.0)"),
+        parse_deformation("-(0.0)"),
+    ]
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
 def test_sign_of_zero_survives_the_cache(order):
-    # 0.0 == -0.0, so a cache keyed on equal trees would hand one law the other's code
+    # 0.0 == -0.0, so a cache keyed on equal trees would hand one law the
+    # other's code; new trees each run, so each reaches the code cache
     expressions._build.cache_clear()
-    for tree in ZERO_TREES[::order]:
+    for tree in _zero_trees()[::order]:
         got = evaluate_tree(tree, 2.0, 3.0)
         assert repr(got) == repr(reference_evaluate_tree(tree, 2.0, 3.0)), tree
 
@@ -266,6 +271,27 @@ def test_compiled_laws_are_kept_up_to_the_bound():
     info = expressions._build.cache_info()
     assert info.currsize == info.maxsize == bound
     assert info.misses == bound + 10
+
+
+def test_dropped_schemes_leave_no_law_behind():
+    start = len(expressions._LAWS)
+    for k in range(1000):
+        scheme = DeformationScheme.custom(f"n + {k}*n*(n - 1)", 1.5)
+        assert scheme.d_values(3)[2] == 2.0 + 2.0 * k
+        assert len(expressions._LAWS) == start + 1
+    del scheme
+    gc.collect()
+    assert len(expressions._LAWS) == start
+
+
+def test_a_reused_id_never_finds_an_earlier_law():
+    ids = set()
+    for k in range(2000):
+        tree = parse_deformation(f"n*{k}")
+        ids.add(id(tree))
+        assert evaluate_tree(tree, 1.0, 2.0) == 2.0 * k
+        del tree
+    assert len(ids) < 2000  # the test only means something if ids come back
 
 
 # The parser bounds what it accepts: at most 128 operand/operator tokens

@@ -14,7 +14,9 @@ from qfock import (
     number_matrix,
     verify_algebra,
 )
+from qfock.cli import main
 from qfock.deformation import eval_d
+from qfock.expressions import EvaluationError
 from qfock.fock_matrix import TruncatedOperator
 
 from helpers import (
@@ -233,6 +235,36 @@ def test_negative_deformation_value_rejected():
     assert ok.band[1] == 0.0
     with pytest.raises(ValueError, match=r"d\(3\)"):
         annihilation_matrix(scheme, 4)
+
+
+# Both laws fail at n = 6 (ln 0); the first also turns negative at n = 4.
+LADDER_ERROR_ORDER = [
+    pytest.param(
+        "n*(3-n)/2 + 0*ln(6 - n)",
+        ValueError,
+        "deformation value d(4) = -2.0 is negative; ladder entries need d >= 0",
+        id="negative-before-failing",
+    ),
+    pytest.param(
+        "n + 0*ln(6 - n)",
+        EvaluationError,
+        "math domain error at q=1.0, n=6.0",
+        id="failing",
+    ),
+]
+
+
+@pytest.mark.parametrize("law,error,message", LADDER_ERROR_ORDER)
+def test_ladder_reports_a_negative_d_before_a_later_failure(law, error, message, capsys):
+    for build in (
+        lambda scheme: annihilation_matrix(scheme, 8),
+        lambda scheme: verify_algebra(scheme, 8, 1e-10),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(DeformationScheme.custom(law, 1.0))
+    for argv in (["ops", "annihilation", "--dim", "8"], ["verify", "--dims", "8"]):
+        assert main(argv + ["--scheme", f"expr:{law}"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_tensor_pair_matches_kron():
