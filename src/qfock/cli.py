@@ -37,7 +37,7 @@ from .fock_matrix import (
     number_matrix,
     verify_algebra,
 )
-from .geometric import DivergenceError
+from .geometric import DivergenceError, GeometricLaw
 from .paired_state import shannon_entropy_bits
 from .squeezed import SqueezedSpec, nbar_series, squeezed_probabilities
 from .thermal import ThermalSpec, thermal_nbar_series, thermal_probabilities
@@ -79,8 +79,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep family {self.family!r}")
         if not self.q_values or not self.param_values:
             raise ValueError("q and parameter value lists must be non-empty")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
+        GeometricLaw._check_tail_tol(self.tail_tol)
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,9 @@ CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 def resolve_scheme(descriptor: str, q: float) -> DeformationScheme:
-    """Map a CLI scheme descriptor to a DeformationScheme; q must be finite and > 0."""
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"q must be finite and positive, got {q!r}")
+    """Map a CLI scheme descriptor to a DeformationScheme; q must be finite
+    and > 0 for every descriptor, so ``undeformed`` rejects a q it ignores."""
+    DeformationScheme._checked_q(q)
     if descriptor == "undeformed":
         return DeformationScheme.undeformed()
     if descriptor in ("bm", "biedenharn-macfarlane"):
@@ -378,8 +377,37 @@ def _cmd_parse(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError instead of exiting.  ``operand`` names a positional
+    whose text may start with '-' (``parse``'s expression): argparse reads
+    such text as an unknown option, so the error for the missing operand
+    then says that it goes after '--'."""
+
+    def __init__(self, *args, operand: str | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._operand = operand
+
     def error(self, message):
         raise ValueError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except ValueError as exc:
+            missing = f"the following arguments are required: {self._operand}"
+            if self._operand is None or str(exc) != missing or not any(map(_dash_text, args)):
+                raise
+            hint = f"an {self._operand} that starts with '-' goes after '--'"
+            usage = f"{self.prog} -- {self._operand.upper()}"
+            raise ValueError(f"{missing} ({hint}: {usage})") from None
+
+
+def _dash_text(arg: str) -> bool:
+    """Text that argparse reads as an unknown option: '-x...', not a number."""
+    try:
+        float(arg)
+    except ValueError:
+        return arg[:1] == "-" and arg[1:2] not in ("", "-")
+    return False
 
 
 @functools.cache
@@ -414,7 +442,7 @@ def _build_parser() -> _ArgumentParser:
     ops.add_argument("--dim", type=int, required=True)
     ops.set_defaults(func=_cmd_ops)
 
-    parse = sub.add_parser("parse", help="validate a deformation expression")
+    parse = sub.add_parser("parse", help="validate a deformation expression", operand="expression")
     parse.add_argument("expression")
     parse.add_argument("--q", type=float)
     parse.add_argument("--n", type=int)

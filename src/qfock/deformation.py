@@ -73,9 +73,7 @@ class DeformationScheme:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown deformation kind {self.kind!r}")
-        q = float(self.q)
-        if not math.isfinite(q) or q <= 0.0:
-            raise ValueError(f"deformation parameter q must be positive, got {self.q!r}")
+        q = self._checked_q(self.q)
         object.__setattr__(self, "q", q)
         if self.kind == CUSTOM:
             if self.expr is None:
@@ -85,6 +83,19 @@ class DeformationScheme:
             raise ValueError(f"{self.kind} scheme takes no expression")
         if self.kind == UNDEFORMED and q != 1.0:
             raise ValueError(f"undeformed scheme has q = 1, got {self.q!r}")
+
+    @staticmethod
+    def _checked_q(q) -> float:
+        """q as a float; ValueError unless it is finite and positive.
+
+        The one check of q in the package: schemes, ``cli.resolve_scheme``
+        (for every descriptor, ``undeformed`` included) and the closed forms
+        through ``GeometricLaw.symmetric_nbar`` all call it.
+        """
+        value = float(q)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"q must be finite and positive, got {q!r}")
+        return value
 
     def _probe(self):
         for n, want in ((0, 0.0), (1, 1.0)):

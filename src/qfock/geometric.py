@@ -6,9 +6,10 @@ r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
 on it: the probabilities, the mean under the symmetric deformation, the
 second moments and quadrature variances, and the entropy.  The squeezed
 and thermal modules only map their physical parameter onto a law.  This
-module also owns cutoff selection, the streamed d-weighted series scan
-with divergence detection (no term list is kept), and ``geometric_state``,
-the paired state whose moments give the thermal series mean.
+module also owns the rule for whether a law can be cut at a tail
+tolerance, cutoff selection, the streamed d-weighted series scan with
+divergence detection (no term list is kept), and ``geometric_state``, the
+paired state whose moments give the thermal series mean.
 """
 
 from __future__ import annotations
@@ -79,6 +80,24 @@ class GeometricLaw(NamedTuple):
         r, sqrt_r = math.exp(-theta), math.exp(-0.5 * theta)
         return cls(r, -math.expm1(-theta), sqrt_r, -math.expm1(-0.5 * theta), -theta)
 
+    @staticmethod
+    def _check_tail_tol(tail_tol: float) -> None:
+        """ValueError unless 0 < tail_tol < 1; the one tolerance check of
+        sweeps, specs and ``probability_cutoff``."""
+        if not 0.0 < tail_tol < 1.0:
+            raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tol!r}")
+
+    def _check_cut(self, name: str, value: float, ratio: str, tail_tol: float) -> None:
+        """ValueError unless the law can be cut at tail_tol.
+
+        A ratio r that rounds to 1 has no cutoff; the message names the
+        physical parameter as ``<name>=<value>`` and ``ratio``, the formula
+        that rounded.  A tolerance outside (0, 1) is reported after it.
+        """
+        if self.r == 1.0:
+            raise ValueError(f"{name}={value!r} rounds the pair-number ratio {ratio} to 1")
+        self._check_tail_tol(tail_tol)
+
     def probabilities(self, tail_tol: float) -> list[float]:
         """P_n for n = 0..N, cut at the smallest N with r^(N+1) <= tail_tol,
         so the emitted sum is >= 1 - tail_tol."""
@@ -94,10 +113,9 @@ class GeometricLaw(NamedTuple):
         The factors are 1 - q r and 1 - r/q written without cancellation
         as q -> 1, so the form holds at q = 1 too.  The series converges iff
         both factors are positive (max(q, 1/q) r < 1); otherwise
-        DivergenceError is raised.
+        DivergenceError is raised.  q is checked as every scheme's q is.
         """
-        if not q > 0.0:
-            raise ValueError(f"deformation parameter q must be positive, got {q!r}")
+        q = DeformationScheme._checked_q(q)
         r, omr = self.r, self.one_minus_r
         dq = q - 1.0
         lower = omr - dq * r
@@ -159,8 +177,7 @@ def probability_cutoff(ratio: float, tail_tol: float) -> int:
     tail_tol, which is how a caller tells a capped cutoff."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tol!r}")
+    GeometricLaw._check_tail_tol(tail_tol)
     if ratio == 0.0 or ratio <= tail_tol:
         return 0
     n = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)

@@ -4,8 +4,9 @@ The squeezed vacuum distributes pair number n with the geometric law
 P_n = tanh^2n(xi) / cosh^2(xi), which contains no deformation parameter:
 its entanglement entropy depends on xi alone.  The mean photon number
 and the quadrature variances do feel the deformation.  Every closed form
-lives on ``GeometricLaw``; this module maps xi onto the law with
-r = tanh^2 xi and pairs the closed mean with the brute-force series.
+lives on ``GeometricLaw``; this module is a parameter map: it builds the
+law with r = tanh^2 xi, which decides whether it can be cut at the
+spec's tolerance, and pairs the closed mean with the brute-force series.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ class SqueezedSpec:
     law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The law checks xi first, so a bad xi is named before a bad tolerance.
-        object.__setattr__(self, "law", GeometricLaw.from_xi(self.xi))
-        if self.law.r == 1.0:  # |xi| above about 19.06; no cutoff exists
-            raise ValueError(
-                f"squeezing parameter xi={self.xi!r} rounds the pair-number "
-                "ratio tanh^2 xi to 1"
-            )
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
+        # A bad xi is named first, then r = 1 (|xi| above about 19.06), then
+        # a bad tolerance.
+        law = GeometricLaw.from_xi(self.xi)
+        law._check_cut("squeezing parameter xi", self.xi, "tanh^2 xi", self.tail_tol)
+        object.__setattr__(self, "law", law)
 
 
 def squeezed_probabilities(spec: SqueezedSpec) -> list[float]:

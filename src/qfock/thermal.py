@@ -5,7 +5,8 @@ theta = beta * omega (inverse temperature times mode frequency, with
 hbar = k = 1): the pair-number law is the Bose-Einstein-type geometric
 P_n = (1 - e^-theta) e^(-n theta), the squeezed law under
 tanh^2 xi <-> e^-theta.  Every closed form lives on ``GeometricLaw``;
-this module maps theta onto the law with r = e^-theta.
+this module is a parameter map: it builds the law with r = e^-theta,
+which decides whether it can be cut at the spec's tolerance.
 
 The second moments obey <a a+> = e^theta nbar and <a a~> = e^(theta/2)
 nbar; these are forced by the index-shift identities of the geometric
@@ -44,12 +45,11 @@ class ThermalSpec:
     law: GeometricLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The law checks theta first, so a bad theta is named before a bad tolerance.
-        object.__setattr__(self, "law", GeometricLaw.from_theta(self.theta))
-        if self.law.r == 1.0:  # theta up to 2^-54; no cutoff exists
-            raise ValueError(f"theta={self.theta!r} rounds the pair-number ratio e^-theta to 1")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tol!r}")
+        # A bad theta is named first, then r = 1 (theta up to 2^-54), then a
+        # bad tolerance.
+        law = GeometricLaw.from_theta(self.theta)
+        law._check_cut("theta", self.theta, "e^-theta", self.tail_tol)
+        object.__setattr__(self, "law", law)
 
 
 def thermal_probabilities(spec: ThermalSpec) -> list[float]:

@@ -512,6 +512,25 @@ def test_parse_with_evaluation(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 9.0
 
 
+def test_parse_expression_with_leading_dash_goes_after_double_dash(capsys):
+    # argparse reads "-n+2*n" as an unknown option, so the expression is missing
+    assert main(["parse", "-n+2*n"]) == 1
+    line = (
+        "error: the following arguments are required: expression "
+        "(an expression that starts with '-' goes after '--': qfock parse -- EXPRESSION)"
+    )
+    _assert_one_error_line(capsys.readouterr(), line)
+    assert main(["parse", "--", "-n+2*n"]) == 0
+    assert capsys.readouterr().out == (
+        '{"source": "-n+2*n", "canonical": "((-n) + (2.0 * n))"}\n'
+    )
+    # no text that starts with '-' (a number is a value): the message is argparse's
+    for argv in (["parse"], ["parse", "--q", "-1"], ["parse", "--"]):
+        assert main(argv) == 1
+        line = "error: the following arguments are required: expression"
+        _assert_one_error_line(capsys.readouterr(), line)
+
+
 def test_parse_error_has_position_and_exit_one(capsys):
     assert main(["parse", "q + "]) == 1
     assert "position 4" in capsys.readouterr().err

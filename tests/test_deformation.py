@@ -2,10 +2,19 @@
 
 import math
 import pickle
+import re
 
 import pytest
 
-from qfock import DeformationScheme, parse_deformation
+from qfock import (
+    DeformationScheme,
+    GeometricLaw,
+    nbar_closed_bm,
+    parse_deformation,
+    squeezed_variances_closed,
+    thermal_nbar_closed_bm,
+)
+from qfock.cli import resolve_scheme
 from qfock.deformation import eval_d
 
 from helpers import close
@@ -72,8 +81,21 @@ def test_eval_overflow_at_huge_n():
 
 @pytest.mark.parametrize("q", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_q_rejected(q):
-    with pytest.raises(ValueError):
-        DeformationScheme.biedenharn_macfarlane(q)
+    # every entry point that takes q reports it with the scheme's message
+    entry_points = [
+        DeformationScheme.biedenharn_macfarlane,
+        lambda q: DeformationScheme.custom("n", q),
+        GeometricLaw.from_xi(0.3).symmetric_nbar,
+        lambda q: nbar_closed_bm(q, 0.0),
+        lambda q: thermal_nbar_closed_bm(q, 800.0),
+        lambda q: squeezed_variances_closed(q, 0.0),
+    ]
+    for descriptor in ("undeformed", "bm", "expr:n"):
+        entry_points.append(lambda q, descriptor=descriptor: resolve_scheme(descriptor, q))
+    message = re.escape(f"q must be finite and positive, got {q!r}")
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call(q)
 
 
 @pytest.mark.parametrize("bad_n", [-1, 1.5])

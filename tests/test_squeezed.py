@@ -164,6 +164,14 @@ def test_closed_rejects_q_one_and_divergent_domain():
         nbar_closed_bm(4.0, XI_R03)
     with pytest.raises(ValueError):
         nbar_closed_bm(-2.0, 0.5)
+    # q = inf would read as the vacuum at xi = 0, and nan as nan
+    for q in (math.inf, math.nan, 0.0):
+        message = re.escape(f"q must be finite and positive, got {q!r}")
+        for closed_form in (nbar_closed_bm, squeezed_variances_closed):
+            with pytest.raises(ValueError, match=message):
+                closed_form(q, 0.0)
+        with pytest.raises(ValueError, match=message):
+            GeometricLaw.from_xi(0.3).symmetric_nbar(q)
 
 
 def test_variances_undeformed_exponentials():

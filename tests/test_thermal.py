@@ -25,6 +25,9 @@ from qfock import (
     thermal_variances_closed,
 )
 
+from qfock.cli import SweepSpec
+from qfock.geometric import probability_cutoff
+
 from helpers import close, undeformed_nbar_thermal
 
 UNDEFORMED = DeformationScheme.undeformed()
@@ -101,13 +104,30 @@ def test_theta_must_be_finite_and_positive(call, theta):
 def test_bad_theta_is_named_before_bad_tolerance():
     with pytest.raises(ValueError, match="theta must be a positive real, got inf"):
         ThermalSpec(theta=math.inf, scheme=UNDEFORMED, tail_tol=2.0)
+    # each spec names a bad parameter, then a ratio that rounds to 1, then the tolerance
+    with pytest.raises(ValueError, match="squeezing parameter must be finite, got nan"):
+        SqueezedSpec(xi=math.nan, scheme=UNDEFORMED, tail_tol=2.0)
+    message = "squeezing parameter xi=20.0 rounds the pair-number ratio tanh^2 xi to 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SqueezedSpec(xi=20.0, scheme=UNDEFORMED, tail_tol=2.0)
+    message = "theta=1e-17 rounds the pair-number ratio e^-theta to 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ThermalSpec(theta=1e-17, scheme=UNDEFORMED, tail_tol=2.0)
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, math.nan])
 def test_tail_tolerance_outside_unit_interval_rejected(tail_tol):
     message = f"tail tolerance must lie in (0, 1), got {tail_tol!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ThermalSpec(theta=1.0, scheme=UNDEFORMED, tail_tol=tail_tol)
+    entry_points = (
+        lambda tol: ThermalSpec(theta=1.0, scheme=UNDEFORMED, tail_tol=tol),
+        lambda tol: SqueezedSpec(xi=1.0, scheme=UNDEFORMED, tail_tol=tol),
+        lambda tol: SweepSpec("thermal", "bm", (1.0,), (1.0,), tol),
+        lambda tol: probability_cutoff(0.5, tol),
+        lambda tol: geometric_state(UNDEFORMED, 0.5, tol),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(tail_tol)
 
 
 @pytest.mark.parametrize("theta", [0.2, 1.0, 3.0])
@@ -153,6 +173,11 @@ def test_closed_rejects_bad_domains():
         thermal_nbar_closed_bm(2.0, 0.5)  # theta <= ln 2
     with pytest.raises(ValueError):
         thermal_nbar_closed_bm(2.0, -1.0)
+    # r = e^-800 is 0, where q = inf would read as nan
+    for q in (math.inf, math.nan, 0.0):
+        message = re.escape(f"q must be finite and positive, got {q!r}")
+        with pytest.raises(ValueError, match=message):
+            thermal_nbar_closed_bm(q, 800.0)
 
 
 def test_moments_closed_bose_identity():
