@@ -16,11 +16,14 @@ downstream assumes d(0) = 0 and d(1) = 1.  Every value of such a law,
 probes included, comes from ``expressions.evaluate_tree``, which compiles
 the scheme's tree on the first call and keeps its law while the tree lives.
 
-Each scheme instance carries its own column d(0), d(1), ..., filled by
-``eval_d`` on demand and shared by everything that reads the scheme, so a
-sweep that resolves one scheme per q evaluates each d(n) of that column
-once.  ``eval_d`` is the only code that computes a value, so the column
-holds exactly the bits a direct call returns.
+Each scheme instance carries its own column d(0), d(1), ..., filled on
+demand and shared by everything that reads the scheme, so a sweep that
+resolves one scheme per q evaluates each d(n) of that column once.  A
+value comes from one ``eval_d`` call, except where one request adds more
+than one value to the column of a built-in law: that band is computed in
+one pass of ``eval_d``'s own expression, and left to ``eval_d`` if any of
+it is not finite.  Either way the column holds exactly the bits a direct
+call returns, and every failure is raised by ``eval_d``.
 """
 
 from __future__ import annotations
@@ -127,15 +130,20 @@ class DeformationScheme:
         return math.log(self.q)
 
     def d_values(self, count: int) -> list[float]:
-        """The column d(0), d(1), ..., grown by ``eval_d`` to at least
-        ``count`` values, in order, and returned itself (read-only; it may
-        already be longer).  If d(n) fails, d(0..n-1) are kept and the
-        error propagates; the next call that needs d(n) raises it again.
+        """The column d(0), d(1), ..., grown to at least ``count`` values,
+        in order, and returned itself (read-only; it may already be longer).
+        A built-in law that must add more than one value adds them as one
+        block; otherwise, and if the block is not finite, each value comes
+        from ``eval_d``.  If d(n) fails, d(0..n-1) are kept and the error
+        propagates; the next call that needs d(n) raises it again.
         """
         column = self._column
         start = n = len(column)
         if n < count:
             new = []
+            if count - n > 1 and self.kind != CUSTOM:
+                new = self._block(n, count)
+                n += len(new)
             try:
                 while n < count:  # cheaper than a range for the scan's one value per call
                     new.append(eval_d(self, n))
@@ -145,6 +153,21 @@ class DeformationScheme:
                 # values agree, so the slice only ever lengthens it.
                 column[start:n] = new
         return column
+
+    def _block(self, start: int, stop: int) -> list[float]:
+        """d(start..stop-1) of a built-in law by ``eval_d``'s own expression,
+        or [] if any of them is not finite, so that ``eval_d`` raises."""
+        lam = self.lam
+        if lam == 0.0:
+            return [float(m) for m in range(start, stop)]
+        s = math.sinh(lam)
+        try:
+            block = [math.sinh(m * lam) / s for m in range(start, stop)]
+        except OverflowError:
+            return []
+        # inf or nan makes the sum non-finite; a finite block whose sum
+        # overflows only falls back to one ``eval_d`` call per value.
+        return block if math.isfinite(sum(block)) else []
 
     @property
     def label(self) -> str:
@@ -156,7 +179,10 @@ class DeformationScheme:
 
 def eval_d(scheme: DeformationScheme, n: int) -> float:
     """Deformation value d(n) for occupation number n >= 0."""
-    m = int(n)
+    try:
+        m = int(n)
+    except (OverflowError, ValueError):  # an infinite or NaN n
+        m = -1  # rejected below, as a negative n is
     if m != n or m < 0:
         raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
     if scheme.kind == CUSTOM:

@@ -78,12 +78,12 @@ def _ladder_values(scheme: DeformationScheme, dim: int) -> list[float]:
     except ArithmeticError as exc:
         column, error = scheme.d_values(0), exc
     values = column[1:dim]
-    for n, value in enumerate(values, 1):
-        if value < 0.0:
-            raise ValueError(
-                f"deformation value d({n}) = {value!r} is negative; "
-                "ladder entries need d >= 0"
-            )
+    if min(values, default=0.0) < 0.0:
+        n, value = next((n, v) for n, v in enumerate(values, 1) if v < 0.0)
+        raise ValueError(
+            f"deformation value d({n}) = {value!r} is negative; "
+            "ladder entries need d >= 0"
+        )
     if error is not None:
         raise error
     return list(map(math.sqrt, values))

@@ -46,6 +46,10 @@ SCHEMES = {
     "fails-at-3": lambda: DeformationScheme.custom(FAILS_AT_3, 1.0),
     "fails-at-40": lambda: DeformationScheme.custom(FAILS_AT_40, 1.0),
 }
+BUILT_IN = [name for name, make in SCHEMES.items() if make().kind != "custom"]
+# Counts of one request: a band of one value, of two, and past the n = 1025
+# where bm q = 2 overflows.
+BLOCK_COUNTS = (2, 3, 64, 513, 1100)
 # r = 0.499 at bm q = 2 converges too slowly to stop before d(1025) overflows.
 RATIOS = (0.0, 0.05, 0.3, 0.499, 0.7, 0.9, 0.99)
 TOLS = (1e-12, 1e-6)
@@ -211,6 +215,81 @@ def test_column_stops_before_the_first_failing_value():
     assert failing.d_values(0) == [0.0, 1.0, 4.0]
 
 
+def _grown(scheme, counts):
+    """Grow the column to each of counts in turn: (column as hex, error)."""
+    error = None
+    try:
+        for count in counts:
+            scheme.d_values(count)
+    except ArithmeticError as exc:
+        error = (type(exc), str(exc))
+    return list(map(float.hex, scheme.d_values(0))), error
+
+
+def _per_value(make, count):
+    """The column of a fresh scheme grown one ``eval_d`` value at a time."""
+    return _grown(make(), range(1, count + 1))
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_block_column_equals_per_value_column(name, count):
+    make = SCHEMES[name]
+    want = _per_value(make, count)
+    assert _grown(make(), [count]) == want
+    if name == "bm-2" and count == 1100:
+        assert len(want[0]) == 1025
+        assert want[1] == (OverflowError, "deformation value overflowed at n=1025 (q=2.0)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.floats(-8.0, 8.0).map(math.exp),
+    count=st.sampled_from(BLOCK_COUNTS),
+)
+@example(q=1.0 - 1e-12, count=1100)
+@example(q=1.0 + 1e-12, count=1100)
+@example(q=1e-300, count=1100)
+@example(q=1e300, count=1100)
+# sinh(1089 lam) is finite but d(1089) = sinh(1089 lam) / sinh(lam) is not.
+@example(q=1.92, count=1090)
+def test_block_column_equals_per_value_column_at_any_q(q, count):
+    make = lambda: DeformationScheme.biedenharn_macfarlane(q)  # noqa: E731
+    assert _grown(make(), [count]) == _per_value(make, count)
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_ladder_and_scan_in_either_order_equal_fresh_schemes(name):
+    make = SCHEMES[name]
+    for ratio in (0.3, 0.9):
+        scan = _outcome(_column_scan, make(), ratio, 1e-12)
+        for count in BLOCK_COUNTS:
+            ladder = _outcome(annihilation_matrix, make(), count)
+            scan_first, ladder_first = make(), make()
+            assert _outcome(_column_scan, scan_first, ratio, 1e-12) == scan
+            assert _outcome(annihilation_matrix, scan_first, count) == ladder
+            assert _outcome(annihilation_matrix, ladder_first, count) == ladder
+            assert _outcome(_column_scan, ladder_first, ratio, 1e-12) == scan
+            for grown in (scan_first, ladder_first):
+                column = _grown(grown, [])[0]
+                assert column == _per_value(make, len(column))[0], (ratio, count)
+
+
+def test_ladder_of_a_built_in_law_makes_no_eval_d_call(monkeypatch):
+    calls = []
+
+    def counted(scheme, n):
+        calls.append(n)
+        return eval_d(scheme, n)
+
+    monkeypatch.setattr(qfock.deformation, "eval_d", counted)
+    annihilation_matrix(DeformationScheme.biedenharn_macfarlane(1.3), 512)
+    annihilation_matrix(DeformationScheme.undeformed(), 512)
+    assert calls == []
+    annihilation_matrix(DeformationScheme.custom(QUADRATIC, 1.5), 512)
+    assert calls == list(range(512))
+
+
 def test_ladder_sign_error_comes_before_a_later_evaluation_error():
     # d(4) = -8 is negative; d(5) divides by zero.
     make = lambda: DeformationScheme.custom("2*n*(3 - n)/(5 - n)", 1.0)  # noqa: E731
@@ -232,15 +311,33 @@ def test_threads_sharing_a_scheme_get_the_serial_results():
             shared = make()
             start = threading.Barrier(8)
 
+            # Even seeds build ladders, whose dims grow the column in blocks,
+            # while odd seeds scan it one value at a time.
+            dims = {
+                seed: sorted(random.Random(seed).sample(range(2, 601), 6))
+                for seed in range(0, 8, 2)
+            }
+            ladders = {
+                dim: _outcome(annihilation_matrix, make(), dim)
+                for seed_dims in dims.values()
+                for dim in seed_dims
+            }
+
             def work(seed):
                 cells = list(CELLS)
                 random.Random(seed).shuffle(cells)
                 start.wait(timeout=60)
+                if seed in dims:
+                    return {dim: _outcome(annihilation_matrix, shared, dim) for dim in dims[seed]}
                 return {cell: _outcome(_column_scan, shared, *cell) for cell in cells}
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(work, range(8), timeout=120))
-            assert all(result == serial for result in results), name
+            for seed, result in enumerate(results):
+                if seed in dims:
+                    assert result == {dim: ladders[dim] for dim in dims[seed]}, name
+                else:
+                    assert result == serial, name
             column = shared.d_values(0)
             fresh = make()
             assert column == [eval_d(fresh, n) for n in range(len(column))]

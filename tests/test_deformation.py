@@ -98,9 +98,10 @@ def test_nonpositive_q_rejected(q):
             call(q)
 
 
-@pytest.mark.parametrize("bad_n", [-1, 1.5])
+@pytest.mark.parametrize("bad_n", [-1, 1.5, math.inf, -math.inf, math.nan])
 def test_bad_occupation_number_rejected(bad_n):
-    with pytest.raises(ValueError):
+    message = re.escape(f"occupation number must be a nonnegative integer, got {bad_n!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         eval_d(DeformationScheme.undeformed(), bad_n)
 
 
