@@ -8,15 +8,19 @@ Subcommands::
     qfock ops annihilation --scheme undeformed --dim 4
     qfock parse "(q^n - q^(-n))/(q - q^(-1))" [--q 2 --n 3]
 
-Number lists come from flag text ("0.5,2") or from the JSON object of a
-sweep's ``--config`` (keys: the sweep options; flags win).  Every q, for
-every scheme, and ``verify --tol`` must be finite and positive.
+Number lists come from flag text ("0.5,2"; "-1,1" is a value, not an
+option) or from the JSON object of a sweep's ``--config`` (keys: the sweep
+options; flags win).  Every q, for every scheme, and ``verify --tol`` must
+be finite and positive.
 
 Exit codes: 0 success, 1 usage/parse error, 2 verification failure,
 3 I/O error.  Sweep output is deterministic: fixed row order (q-major,
 parameter-minor) and shortest round-trip number formatting, so repeated
 runs are byte-identical.  Rows in divergent corners of a grid are flagged
-in the status column instead of aborting the batch.
+in the status column instead of aborting the batch.  These cells still
+abort it with exit 1: a d(n) overflow (``sweep thermal --scheme bm --q 2
+--theta 0.71``), an ``expr:`` law rejected at one q, a ratio that rounds
+to 1 (``--xi 20``, ``--theta 1e-17``) and |xi| > 354.89.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -376,15 +381,21 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # "-1,1", "-.5", "-1e-3": a value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises ValueError instead of exiting.  ``operand`` names a positional
-    whose text may start with '-' (``parse``'s expression): argparse reads
+    """Raises ValueError instead of exiting.  Text that starts with '-' and
+    a number is a value: argparse's own rule takes only "-1" or "-1.5", so
+    "--xi -1,1" lacked its value.  ``operand`` names a positional whose
+    text may start with '-' (``parse``'s expression): argparse reads other
     such text as an unknown option, so the error for the missing operand
     then says that it goes after '--'."""
 
     def __init__(self, *args, operand: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._operand = operand
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise ValueError(message)
@@ -402,12 +413,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _dash_text(arg: str) -> bool:
-    """Text that argparse reads as an unknown option: '-x...', not a number."""
-    try:
-        float(arg)
-    except ValueError:
-        return arg[:1] == "-" and arg[1:2] not in ("", "-")
-    return False
+    """Text that the parser reads as an unknown option: '-x...', where x is
+    neither '-' nor the start of a number."""
+    return arg[:1] == "-" and arg[1:2] not in ("", "-") and not _NEGATIVE_VALUE.match(arg)
 
 
 @functools.cache

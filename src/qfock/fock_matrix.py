@@ -129,10 +129,6 @@ class AlgebraReport:
     residuals: dict[str, float]
 
     @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
     def passed(self) -> bool:
         return all(r < self.tol for r in self.residuals.values())
 

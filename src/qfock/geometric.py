@@ -4,12 +4,12 @@ Both vacua distribute the pair number n as P_n = (1 - r) r^n for a ratio
 r in [0, 1): r = tanh^2 xi for squeezing, r = e^-theta for temperature.
 ``GeometricLaw`` is that one object, and every closed form is written once
 on it: the probabilities, the mean under the symmetric deformation, the
-second moments and quadrature variances, and the entropy.  The squeezed
-and thermal modules only map their physical parameter onto a law.  This
-module also owns the rule for whether a law can be cut at a tail
-tolerance, cutoff selection, the streamed d-weighted series scan with
-divergence detection (no term list is kept), and ``geometric_state``, the
-paired state whose moments give the thermal series mean.
+quadrature variances, and the entropy.  The squeezed and thermal modules
+only map their physical parameter onto a law.  This module also owns the
+rule for whether a law can be cut at a tail tolerance, cutoff selection,
+the streamed d-weighted series scan with divergence detection (no term
+list is kept), and ``geometric_state``, the paired state whose moments
+give the thermal series mean.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .deformation import DeformationScheme
-from .paired_state import MomentSet, PairedDiagonalState
+from .paired_state import PairedDiagonalState
 
 __all__ = [
     "DivergenceError",
@@ -126,21 +126,6 @@ class GeometricLaw(NamedTuple):
             )
         return r * omr / (lower * upper)
 
-    def moments(self, nbar: float) -> MomentSet:
-        """Second moments from the mean nbar = <a+ a>.
-
-            <a a+>  = nbar / r
-            <a a~>  = <a+ a~+> = nbar / sqrt(r)
-
-        These are the index-shift identities of the geometric law and hold
-        for every scheme with d(0) = 0.  A zero mean or a zero ratio is the
-        vacuum, (0, 1, 0, 0).
-        """
-        if nbar == 0.0 or self.r == 0.0:
-            return MomentSet(0.0, 1.0, 0.0, 0.0)
-        cross = nbar / self.sqrt_r
-        return MomentSet(nbar, nbar / self.r, cross, cross)
-
     def variances(self, nbar: float) -> tuple[float, float, float]:
         """Quadrature variances and their product, given the mean nbar.
 
@@ -148,8 +133,10 @@ class GeometricLaw(NamedTuple):
             var2 = <a a+> (1 - sqrt r)^2 / 4
             product = (<a a+> (1 - r) / 4)^2
 
-        with <a a+> = nbar / r (see ``moments``).  The vacuum returns
-        (1/4, 1/4, 1/16) directly, where the forms would read 0 * inf.
+        from var = (<a+ a> + <a a+> +- 2 <a a~>) / 4 and the index-shift
+        identities of the law, <a a+> = nbar / r and <a a~> = <a+ a~+> =
+        nbar / sqrt(r), which hold for every scheme with d(0) = 0.  The vacuum
+        returns (1/4, 1/4, 1/16) directly, where the forms would read 0 * inf.
         Raises OverflowError on a non-finite result.
         """
         if nbar == 0.0 or self.r == 0.0:

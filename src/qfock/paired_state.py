@@ -60,10 +60,6 @@ class PairedDiagonalState:
                 f"mass deficit {1.0 - total!r} exceeds tail bound {self.tail_bound!r}"
             )
 
-    @property
-    def cutoff(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class MomentSet:

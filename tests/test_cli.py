@@ -335,11 +335,30 @@ def test_sweep_config_number_lists_take_text_numbers_and_lists(tmp_path, capsys)
     assert [(r[0], r[1]) for r in rows] == [("0.5", "3.0"), ("2.0", "3.0")]
 
 
-@pytest.mark.parametrize("q", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("q", ["nan", "inf", "0", "-1", "-1,2"])
 def test_sweep_nonpositive_or_nonfinite_q_is_usage_error(capsys, q):
     # the undeformed law ignores q, but a row would still print it as the grid's q
     assert main(["sweep", "squeezed", "--scheme", "undeformed", "--q", q, "--xi", "1"]) == 1
     _assert_usage_error(capsys.readouterr(), "q must be finite and positive")
+
+
+def test_number_list_may_start_with_a_negative_number(capsys):
+    # argparse alone reads "-1,1" as an option, so --xi missed its value
+    assert main(["sweep", "squeezed", "--xi", "-1,1"]) == 0
+    spaced = capsys.readouterr()
+    assert [row[1] for row in _rows_from_csv(spaced.out)] == ["-1.0", "1.0"]
+    assert main(["sweep", "squeezed", "--xi=-1,1"]) == 0
+    assert capsys.readouterr() == spaced
+    assert main(["sweep", "squeezed", "--xi", "-1e-3,1"]) == 0
+    assert [row[1] for row in _rows_from_csv(capsys.readouterr().out)] == ["-0.001", "1.0"]
+    assert main(["verify", "--dims", "-1,2"]) == 1
+    line = "error: --dims values must lie between 2 and 512, got -1"
+    _assert_one_error_line(capsys.readouterr(), line)
+    assert main(["parse", "-2*n+3*n"]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"] == "(((-2.0) * n) + (3.0 * n))"
+    # text that is no number is still an option
+    assert main(["sweep", "squeezed", "--xi", "-x"]) == 1
+    _assert_one_error_line(capsys.readouterr(), "error: argument --xi: expected one argument")
 
 
 @pytest.mark.parametrize(

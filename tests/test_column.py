@@ -345,6 +345,28 @@ def test_threads_sharing_a_scheme_get_the_serial_results():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("counts", [(10, 10), (8, 12)])
+def test_growths_that_overlap_keep_one_column(monkeypatch, counts):
+    # Both threads read the length 3, then meet at d(5), so each writes its
+    # values back after the other has read where the column ended.
+    make = SCHEMES["quadratic-0.7499"]
+    shared = make()
+    shared.d_values(3)
+    meet = threading.Barrier(2)
+
+    def waiting(scheme, n):
+        if n == 5 and scheme is shared:
+            meet.wait(timeout=30)
+        return eval_d(scheme, n)
+
+    monkeypatch.setattr(qfock.deformation, "eval_d", waiting)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for future in [pool.submit(shared.d_values, count) for count in counts]:
+            future.result(timeout=60)
+    fresh = make()
+    assert shared.d_values(0) == [eval_d(fresh, n) for n in range(max(counts))]
+
+
 COUNTED_LAW = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"  # the quadratic law
 
 

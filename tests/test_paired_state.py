@@ -49,7 +49,6 @@ NBAR_BM2_R03 = 21.0 / 34.0
 def test_vacuum_state():
     state = from_probabilities([1.0], 0.0)
     assert state.coeffs == (1.0,)
-    assert state.cutoff == 0
 
 
 def test_even_pair_state():
@@ -260,7 +259,8 @@ def _family_state(family, value):
 )
 def test_reduced_entropy_equals_dense_partial_trace_on_family_states(family, value):
     state = _family_state(family, value)
-    assert state.cutoff == 0 or 50 <= state.cutoff <= 1200
+    cutoff = len(state.coeffs) - 1
+    assert cutoff == 0 or 50 <= cutoff <= 1200
     assert reduced_entropy_bits(state) == dense_reduced_entropy_bits(state)
 
 
@@ -272,7 +272,7 @@ def test_reduced_entropy_equals_dense_partial_trace_on_random_states():
 def _product_basis_entropy(state):
     """Entropy of the physical mode after tracing the twin out of the full
     two-mode state sum_n c_n e_n (x) e_n in the (N+1)^2 product basis."""
-    dim = state.cutoff + 1
+    dim = len(state.coeffs)
     psi = np.zeros(dim * dim)
     for n, c in enumerate(state.coeffs):
         psi[n * dim + n] = c
@@ -288,7 +288,7 @@ def _product_basis_entropy(state):
 )
 def test_reduced_entropy_matches_product_basis_partial_trace(family, value):
     state = _family_state(family, value)
-    assert 0 < state.cutoff <= 16
+    assert 0 < len(state.coeffs) - 1 <= 16
     assert abs(reduced_entropy_bits(state) - _product_basis_entropy(state)) <= 1e-12
 
 

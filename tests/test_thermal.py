@@ -73,15 +73,6 @@ def test_probabilities_never_see_the_scheme():
         assert thermal_probabilities(ThermalSpec(theta=theta, scheme=scheme)) == reference
 
 
-def test_nonpositive_theta_rejected():
-    with pytest.raises(ValueError):
-        ThermalSpec(theta=0.0, scheme=UNDEFORMED)
-    with pytest.raises(ValueError):
-        ThermalSpec(theta=-1.0, scheme=UNDEFORMED)
-    with pytest.raises(ValueError):
-        thermal_entropy_bits(0.0)
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -180,55 +171,11 @@ def test_closed_rejects_bad_domains():
             thermal_nbar_closed_bm(q, 800.0)
 
 
-def test_moments_closed_bose_identity():
-    theta = math.log(2.0)
-    nbar = undeformed_nbar_thermal(theta)
-    m = GeometricLaw.from_theta(theta).moments(nbar)
-    assert m.adag_a == pytest.approx(1.0, abs=1e-12)
-    assert m.a_adag == pytest.approx(2.0, abs=1e-12)  # <a a+> = <a+ a> + 1 at q = 1
-    assert m.a_atilde == m.adag_atildedag
-
-
-@pytest.mark.parametrize("theta", [0.7, 1.5, 3.0])
-def test_moments_closed_ratio_identity(theta):
-    m = GeometricLaw.from_theta(theta).moments(0.37)
-    assert m.a_adag * math.exp(-theta) == pytest.approx(m.adag_a, abs=1e-12)
-    assert m.a_atilde * math.exp(-0.5 * theta) == pytest.approx(m.adag_a, abs=1e-12)
-
-
-@pytest.mark.parametrize("q,theta", list(_convergent_grid()))
-def test_moments_closed_match_state_route(q, theta):
-    scheme = DeformationScheme.biedenharn_macfarlane(q)
-    state = geometric_state(scheme, math.exp(-theta), 1e-13)
-    oracle = moments(state, scheme)
-    closed = GeometricLaw.from_theta(theta).moments(oracle.adag_a)
-    assert abs(closed.a_adag - oracle.a_adag) <= 1e-10
-    assert abs(closed.a_atilde - oracle.a_atilde) <= 1e-10
-
-
-def test_moments_closed_zero_temperature_limit():
-    theta = 50.0
-    m = GeometricLaw.from_theta(theta).moments(undeformed_nbar_thermal(theta))
-    assert m.adag_a == pytest.approx(0.0, abs=1e-10)
-    assert m.a_adag == pytest.approx(1.0, abs=1e-10)
-    assert m.a_atilde == pytest.approx(0.0, abs=1e-10)
-
-
-def test_moments_closed_zero_mean_is_vacuum():
-    m = GeometricLaw.from_theta(1.0).moments(0.0)
-    assert (m.adag_a, m.a_adag, m.a_atilde, m.adag_atildedag) == (0.0, 1.0, 0.0, 0.0)
-
-
 def test_variances_closed_overflow_raises():
     # <a a+> = nbar / r = 1e300 * e^700 is past the double range
     law = GeometricLaw.from_theta(700.0)
     with pytest.raises(OverflowError, match=re.escape(f"overflowed at r={law.r!r}")):
         law.variances(1e300)
-
-
-def test_moments_closed_validation():
-    with pytest.raises(ValueError):
-        GeometricLaw.from_theta(0.0)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
