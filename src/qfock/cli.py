@@ -49,7 +49,8 @@ from .thermal import ThermalSpec, thermal_nbar_series, thermal_probabilities
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "run_verify", "run_ops_dump", "main"]
 
-# Flag when series and closed-form means disagree beyond this.
+# Flag when series and closed-form means disagree beyond this, relative to
+# the closed mean.
 _MISMATCH_TOL = 1e-8
 
 # Largest truncation that `ops` dumps and `verify` certifies.
@@ -171,7 +172,7 @@ def _compute_row(
         flags.append("entropy-skipped")
 
     if series is not None and closed is not None:
-        if abs(series - closed) >= _MISMATCH_TOL:
+        if abs(series - closed) > _MISMATCH_TOL * abs(closed):
             flags.append("mismatch")
 
     status = ";".join(["divergent" if series is None else "convergent"] + flags)

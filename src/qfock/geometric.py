@@ -7,17 +7,20 @@ on it: the probabilities, the mean under the symmetric deformation, the
 quadrature variances, and the entropy.  The squeezed and thermal modules
 only map their physical parameter onto a law.  This module also owns the
 rule for whether a law can be cut at a tail tolerance, cutoff selection,
-the streamed d-weighted series scan with divergence detection (no term
-list is kept), and ``geometric_state``, the paired state whose moments
-give the thermal series mean.
+the d-weighted series (cut where a built-in law's closed tail says, or by
+a streamed scan with divergence detection for an ``expr:`` law), and
+``geometric_state``, the paired state whose moments give the thermal
+series mean.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
 from typing import Iterator, NamedTuple
 
-from .deformation import DeformationScheme
+from .deformation import CUSTOM, DeformationScheme
 from .paired_state import PairedDiagonalState
 
 __all__ = [
@@ -182,7 +185,8 @@ def _weighted_terms(
     prefactor: float,
 ) -> Iterator[float]:
     """Yield d(n) * prefactor * ratio^n for n = 0, 1, ... up to the last term
-    the series needs; nothing at ratio 0.
+    the series needs; nothing at ratio 0.  The sum of an ``expr:`` law, and
+    of a built-in one whose d(n) overflows before its closed cutoff.
 
     Terms are yielded until both the current term and the estimated
     geometric tail drop below tol relative to the running magnitude.  A term
@@ -206,8 +210,6 @@ def _weighted_terms(
     The stop rule is the same in every case as when all three tests ran on
     every term: the branches only order them.
     """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     if ratio == 0.0:
         return
     d = scheme.d_values(0)
@@ -256,19 +258,98 @@ def _weighted_terms(
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
 
 
+def _closed_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
+    """Smallest N whose tail sum_{n>N} d(n) ratio^n is at most tol times the
+    whole sum, for a built-in law; 0 at ratio 0.
+
+    With lam = |ln q| and x, y = e^(+-lam) ratio, the geometric sums of
+    d(n) = sinh(n lam) / sinh(lam) make that tail over the sum x^N part(N),
+    part(N) = (expm1(-2 (N + 1) lam) - y expm1(-2 N lam)) / expm1(-2 lam)
+    (N + 1 - y N at q = 1): positive, free of cancellation as q -> 1, and
+    falling with N.  N is the fixed point of its logarithm, reached from
+    below, then checked by a short walk.  ValueError for tol outside
+    (0, 1); DivergenceError when x >= 1 or N passes the term cap.
+    """
+    GeometricLaw._check_tail_tol(tol)
+    if ratio == 0.0:
+        return 0
+    peak = max(scheme.q, 1.0 / scheme.q)
+    x, y, lam = peak * ratio, ratio / peak, abs(scheme.lam)
+    if x >= 1.0:
+        raise DivergenceError(f"series diverges: max(q, 1/q) * r = {x!r} >= 1", ratio=x)
+    unit = math.expm1(-2.0 * lam)
+
+    def part(n: int) -> float:
+        if lam == 0.0:
+            return n + 1 - y * n
+        return (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
+
+    ln_tol, ln_x, n, last = math.log(tol), math.log(x), 0, -1
+    while last < n < _MAX_TERMS:
+        last, n = n, max(n, math.ceil((ln_tol - math.log(part(n))) / ln_x))
+    while n < _MAX_TERMS and x**n * part(n) > tol:
+        n += 1
+    while 0 < n < _MAX_TERMS and x ** (n - 1) * part(n - 1) <= tol:
+        n -= 1
+    if n >= _MAX_TERMS:
+        raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
+    return n
+
+
+def _closed_count(scheme: DeformationScheme, ratio: float, tol: float, extra: int) -> int | None:
+    """N + 1 for a built-in law, with d(0..N + extra) in its column; None,
+    for the adaptive scan, for an ``expr:`` law or a column that overflows
+    first.  A ratio outside [0, 1) is a ValueError first."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    if scheme.kind == CUSTOM:
+        return None
+    count = _closed_cutoff(scheme, ratio, tol) + 1
+    try:
+        scheme.d_values(count + extra)
+    except OverflowError:
+        return None
+    return count
+
+
 def weighted_series(
     scheme: DeformationScheme,
     ratio: float,
     tol: float,
     prefactor: float,
 ) -> float:
-    """Sum of d(n) * prefactor * ratio^n."""
-    return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
+    """Sum of d(n) * prefactor * ratio^n.
+
+    A built-in law sums n = 0..N, N from its closed tail at relative
+    tolerance tol, in one ``math.fsum``; a term that is not finite raises
+    DivergenceError naming n.  An ``expr:`` law, or a built-in one whose
+    d(n) overflows by n = N, takes the adaptive scan.
+    """
+    count = _closed_count(scheme, ratio, tol, 0)
+    if count is None:
+        return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
+    # d[n] * prefactor * ratio**n for n < count, each term formed in C.
+    powers = map(pow, repeat(ratio), range(count))
+    terms = list(map(mul, map(mul, scheme.d_values(0), repeat(prefactor, count)), powers))
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        bad = [n for n, term in enumerate(terms) if not math.isfinite(term)]
+        where = f"term is not finite at n={bad[0]}" if bad else f"sum overflowed by n={count - 1}"
+        raise DivergenceError("series " + where)
+    return total
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
-    """Index beyond which d-weighted geometric terms are negligible."""
-    return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)
+    """Index beyond which d-weighted geometric terms are negligible: for a
+    built-in law the closed-form N, with d(N + 1) in the column for the
+    state cut there, found without forming a term; else the scan's last."""
+    count = _closed_count(scheme, ratio, tol, 1)
+    if count is None:
+        return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)
+    return count - 1
 
 
 def geometric_state(

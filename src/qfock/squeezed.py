@@ -62,12 +62,11 @@ def entanglement_entropy_closed(xi: float) -> float:
 
 
 def nbar_series(spec: SqueezedSpec) -> float:
-    """Mean photon number sum d(n) P_n by adaptive summation.
+    """Mean photon number sum d(n) P_n, by ``weighted_series``.
 
-    Terms are accumulated until both the term and its geometric tail
-    estimate fall below tail_tol at the scale of the running sum; raises
-    DivergenceError when term magnitudes stop decreasing (for the
-    symmetric scheme that happens exactly when max(q, 1/q) tanh^2 xi >= 1).
+    A built-in scheme sums to the N whose closed tail is at most tail_tol
+    of the mean, and raises DivergenceError exactly when
+    max(q, 1/q) tanh^2 xi >= 1; an ``expr:`` law is summed adaptively.
     """
     law = spec.law
     return weighted_series(spec.scheme, law.r, spec.tail_tol, law.one_minus_r)

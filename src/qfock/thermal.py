@@ -65,9 +65,9 @@ def thermal_probabilities(spec: ThermalSpec) -> list[float]:
 def thermal_nbar_series(spec: ThermalSpec) -> float:
     """Mean occupation sum d(n) P_n through the paired-state machinery.
 
-    Builds the geometric paired state at a cutoff sized for the d-weighted
-    tail and reads off <a+ a>.  Raises DivergenceError when the weighted
-    terms stop decreasing (symmetric scheme: theta <= |ln q|).
+    Builds the geometric paired state at the cutoff of ``weighted_cutoff``
+    and reads off <a+ a>.  A built-in scheme raises DivergenceError exactly
+    when theta <= |ln q|; an ``expr:`` law is scanned adaptively.
     """
     state = geometric_state(spec.scheme, spec.law.r, spec.tail_tol)
     return moments(state, spec.scheme).adag_a

@@ -1,10 +1,12 @@
 """Small shared test utilities, the dense-matrix reference routes, the
-per-call ``eval_d`` references for the routes that read a scheme's column,
-and the tree-walking reference for compiled expressions."""
+per-call ``eval_d`` references for the routes that read a scheme's column
+(the closed stop of the built-in laws, the adaptive scan of ``expr:``
+laws), and the tree-walking reference for compiled expressions."""
 
 import math
 
 import numpy as np
+import pytest
 
 from qfock import DivergenceError, annihilation_matrix, creation_matrix, number_matrix
 from qfock.deformation import BIEDENHARN_MACFARLANE, eval_d
@@ -200,6 +202,72 @@ def reference_weighted_scan(scheme, ratio, tol, prefactor):
                         return math.fsum(terms), n
         prev_mag = mag
     raise DivergenceError("series did not settle within 200000 terms")
+
+
+def reference_closed_cutoff(scheme, ratio, tol):
+    """Reference for a built-in law's stop: the smallest N whose tail
+    sum_{n>N} d(n) ratio^n is at most tol times the whole sum.
+
+    The verdict max(q, 1/q) ratio < 1 comes first.  Tail and sum are the
+    standard sums sum x^n and sum n x^n at 50 digits, two geometric parts
+    for the symmetric law, and N is found by bisection over the term cap.
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    if ratio == 0.0:
+        return 0
+    peak = max(scheme.q, 1.0 / scheme.q)
+    if peak * ratio >= 1.0:
+        x = peak * ratio
+        raise DivergenceError(f"series diverges: max(q, 1/q) * r = {x!r} >= 1", ratio=x)
+    with mpmath.workdps(50):
+        r, b = mpmath.mpf(ratio), mpmath.mpf(peak)
+        if peak == 1.0:
+            total = r / (1 - r) ** 2
+
+            def tail(n):
+                return r ** (n + 1) * ((n + 1) - n * r) / (1 - r) ** 2
+
+        else:
+            x, y = b * r, r / b
+            total = r / ((1 - x) * (1 - y))
+
+            def tail(n):
+                return (x ** (n + 1) / (1 - x) - y ** (n + 1) / (1 - y)) / (b - 1 / b)
+
+        limit = mpmath.mpf(tol) * total
+        if tail(199_999) > limit:
+            raise DivergenceError("series did not settle within 200000 terms")
+        lo, hi = -1, 199_999  # tail(lo) > limit >= tail(hi), tail(-1) being the sum
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if tail(mid) <= limit else (mid, hi)
+        return hi
+
+
+def reference_closed_scan(scheme, ratio, tol, prefactor, extra=0):
+    """Reference for a built-in law's series: (fsum of terms, last index N).
+
+    N is ``reference_closed_cutoff``'s; every d(n) up to N + extra comes
+    from one ``eval_d`` call, and one that overflows hands the cell to
+    ``reference_weighted_scan``.  A term that is not finite ends it with
+    DivergenceError naming n; finite terms whose sum overflows name N.
+    """
+    last = reference_closed_cutoff(scheme, ratio, tol)
+    try:
+        d = [eval_d(scheme, n) for n in range(last + 1 + extra)]
+    except OverflowError:
+        return reference_weighted_scan(scheme, ratio, tol, prefactor)
+    terms = [d[n] * prefactor * ratio**n for n in range(last + 1)]
+    for n, t in enumerate(terms):
+        if not math.isfinite(t):
+            raise DivergenceError(f"series term is not finite at n={n}")
+    try:
+        return math.fsum(terms), last
+    except OverflowError:
+        raise DivergenceError(f"series sum overflowed by n={last}") from None
 
 
 def reference_moments(state, scheme):

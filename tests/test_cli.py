@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from qfock import cli
 from qfock.cli import (
     CSV_HEADER,
     ResultRow,
@@ -169,6 +170,19 @@ def test_sweep_flags_series_closed_disagreement(capsys):
     row = _rows_from_csv(capsys.readouterr().out)[0]
     assert "mismatch" in row[11]
     assert abs(float(row[2]) - float(row[3])) >= 1e-8
+
+
+def test_mismatch_is_relative_to_the_closed_mean(monkeypatch):
+    # The mean here is 2.06e-9: a series off by a relative 1e-6 is a gap of
+    # 2e-15, far below the tolerance 1e-8 read as an absolute gap.
+    spec = SweepSpec("thermal", "bm", (1e-5,), (20.0,))
+    (clean,) = run_sweep(spec)
+    assert clean.status == "convergent"
+    series_of = cli.thermal_nbar_series
+    monkeypatch.setattr(cli, "thermal_nbar_series", lambda s: series_of(s) * (1.0 + 1e-6))
+    (row,) = run_sweep(spec)
+    assert row.status == "convergent;mismatch"
+    assert abs(row.nbar_series - row.nbar_closed) < 1e-14
 
 
 def test_sweep_determinism_byte_identical(tmp_path):

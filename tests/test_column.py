@@ -1,5 +1,7 @@
 """The d(n) column a scheme carries: every route that reads it gives the
-bits, the errors and the stop index of one ``eval_d`` call per value."""
+bits, the errors and the stop index of one ``eval_d`` call per value, with
+the closed stop for a built-in law and the adaptive scan for an ``expr:``
+law."""
 
 import math
 import random
@@ -25,7 +27,7 @@ from qfock.expressions import FUNCTIONS
 from qfock.cli import SweepSpec, run_sweep
 from qfock.geometric import weighted_cutoff, weighted_series
 
-from helpers import reference_moments, reference_weighted_scan
+from helpers import reference_closed_scan, reference_moments, reference_weighted_scan
 
 QUADRATIC = "n + (q - 1)*n*(n - 1)/2"
 FAILS_AT_3 = "2*n/(3 - n)"  # d(0) = 0, d(1) = 1, d(2) = 4, division by zero at n = 3
@@ -70,8 +72,20 @@ def _column_scan(scheme, ratio, tol):
     return total, weighted_cutoff(scheme, ratio, tol)
 
 
+def _reference(scheme, ratio, tol, prefactor, extra=0):
+    """(total, last index) by the per-call reference of the scheme's route."""
+    if scheme.kind == "custom":
+        return reference_weighted_scan(scheme, ratio, tol, prefactor)
+    return reference_closed_scan(scheme, ratio, tol, prefactor, extra)
+
+
 def _reference_scan(scheme, ratio, tol):
-    return reference_weighted_scan(scheme, ratio, tol, 1.0 - ratio)
+    """The reference of ``_column_scan``: a built-in law's cutoff needs
+    d(N + 1) too, for the state cut there."""
+    total, last = _reference(scheme, ratio, tol, 1.0 - ratio)
+    if scheme.kind != "custom":
+        last = _reference(scheme, ratio, tol, 1.0 - ratio, extra=1)[1]
+    return total, last
 
 
 @pytest.mark.parametrize("name", SCHEMES)
@@ -83,13 +97,15 @@ def test_scan_equals_per_call_reference(name):
 
 
 # The property below draws from these: SCHEMES, a law whose d(2) = 0, so
-# a zero term follows a positive one, and a law with d(n) = 1 at odd n and
+# a zero term follows a positive one, a law with d(n) = 1 at odd n and
 # n^2 at even n, whose terms at the huge prefactor and the underflowing
-# ratio are 0, 1e108 and then inf * 0 = NaN at n = 2, where the scan ends.
+# ratio are 0, 1e108 and then inf * 0 = NaN at n = 2, where the scan ends,
+# and the symmetric law as text, which the scan must find divergent.
 SCAN_SCHEMES = {
     **SCHEMES,
     "zero-at-2": lambda: DeformationScheme.custom("n*(n - 2)^2", 1.0),
     "odd-ones": lambda: DeformationScheme.custom("n^(1 + (-1)^n)", 1.0),
+    "bm-text-2": lambda: DeformationScheme.custom("(q^n - q^(-n))/(q - q^(-1))", 2.0),
 }
 UNDERFLOW_RATIO = 1e-200  # ratio^n is 0.0 from n = 2 on
 HUGE_PREFACTOR = 1e308  # d(n) * prefactor is inf from d(n) = 2 on
@@ -118,18 +134,23 @@ def _reference_parts(outcome):
     prefactor=st.sampled_from((None, 1.0, -0.5, 1e-300, HUGE_PREFACTOR)),
 )
 @example(name="zero-at-2", ratio=0.3, tol=1e-12, prefactor=None)
+@example(name="n^2", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=None)
+@example(name="n^2", ratio=0.9, tol=1e-12, prefactor=HUGE_PREFACTOR)
+@example(name="bm-text-2", ratio=0.6, tol=1e-12, prefactor=None)
+@example(name="odd-ones", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=HUGE_PREFACTOR)
 @example(name="undeformed", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=None)
 @example(name="undeformed", ratio=0.9, tol=1e-12, prefactor=HUGE_PREFACTOR)
 @example(name="bm-2", ratio=0.6, tol=1e-12, prefactor=None)
-@example(name="odd-ones", ratio=UNDERFLOW_RATIO, tol=1e-12, prefactor=HUGE_PREFACTOR)
+@example(name="bm-2", ratio=0.499, tol=1e-12, prefactor=None)
 def test_scan_routes_equal_reference_on_any_cell(name, ratio, tol, prefactor):
     """Series value and cutoff index, or the error's type, message and
-    ratio, as the reference scan gives them; prefactor None is 1 - ratio."""
+    ratio, as the reference of the scheme's route gives them; prefactor
+    None is 1 - ratio."""
     make = SCAN_SCHEMES[name]
     if prefactor is None:
         prefactor = 1.0 - ratio
     want_series, _ = _reference_parts(
-        _nan_safe(_outcome(reference_weighted_scan, make(), ratio, tol, prefactor))
+        _nan_safe(_outcome(_reference, make(), ratio, tol, prefactor))
     )
     _, want_cutoff = _reference_parts(_outcome(_reference_scan, make(), ratio, tol))
     assert _nan_safe(_outcome(weighted_series, make(), ratio, tol, prefactor)) == want_series
@@ -147,14 +168,25 @@ def test_scan_property_examples_reach_their_branches():
     zero_after_positive = SCAN_SCHEMES["zero-at-2"]()
     assert zero_after_positive.d_values(3)[:3] == [0.0, 1.0, 0.0]
     assert _reference_scan(zero_after_positive, 0.3, 1e-12)[1] > 3
-    assert _reference_scan(DeformationScheme.undeformed(), UNDERFLOW_RATIO, 1e-12)[1] == 5
-    plain = DeformationScheme.undeformed()
+    squares = SCHEMES["n^2"]
+    assert _reference_scan(squares(), UNDERFLOW_RATIO, 1e-12)[1] == 5
     with pytest.raises(DivergenceError, match="term ratio nan") as info:
-        reference_weighted_scan(plain, 0.9, 1e-12, HUGE_PREFACTOR)
+        reference_weighted_scan(squares(), 0.9, 1e-12, HUGE_PREFACTOR)
     assert math.isnan(info.value.ratio)
     with pytest.raises(DivergenceError, match="stopped decreasing") as info:
-        _reference_scan(SCHEMES["bm-2"](), 0.6, 1e-12)
+        _reference_scan(SCAN_SCHEMES["bm-text-2"](), 0.6, 1e-12)
     assert info.value.ratio >= 1.0
+    # The built-in examples reach the closed stop's branches: one term at
+    # an underflowing ratio, a term that is not finite, the verdict, and a
+    # column that overflows before N, which the scan then takes.
+    assert _reference_scan(DeformationScheme.undeformed(), UNDERFLOW_RATIO, 1e-12)[1] == 1
+    with pytest.raises(DivergenceError, match=r"^series term is not finite at n=2$"):
+        weighted_series(DeformationScheme.undeformed(), 0.9, 1e-12, HUGE_PREFACTOR)
+    with pytest.raises(DivergenceError, match=r"^series diverges") as info:
+        _reference_scan(SCHEMES["bm-2"](), 0.6, 1e-12)
+    assert info.value.ratio == 1.2
+    with pytest.raises(OverflowError, match="n=1025"):
+        _reference_scan(SCHEMES["bm-2"](), 0.499, 1e-12)
     assert SCAN_SCHEMES["odd-ones"]().d_values(5) == [0.0, 1.0, 4.0, 1.0, 16.0]
     assert UNDERFLOW_RATIO**2 == 0.0 and 4.0 * HUGE_PREFACTOR == math.inf
 
@@ -380,8 +412,19 @@ COUNTED_LAW = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"  # the quadratic law
     ],
 )
 def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family, law):
-    calls, law_calls = [], []
+    """Each (q, n) enters its column once; a built-in law fills its column
+    in blocks, so the values each column gains are counted, and each
+    ``eval_d`` call must be one of them."""
+    gained, calls, law_calls = [], [], []
     cosh = FUNCTIONS["cosh"]
+    d_values = DeformationScheme.d_values
+
+    def counted_values(scheme, count):
+        start = len(scheme._column)
+        try:
+            return d_values(scheme, count)
+        finally:
+            gained.extend((scheme.q, n) for n in range(start, len(scheme._column)))
 
     def counted(scheme, n):
         calls.append((scheme.q, n))
@@ -391,20 +434,25 @@ def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family, law):
         law_calls.append(x)
         return cosh(x)
 
+    monkeypatch.setattr(DeformationScheme, "d_values", counted_values)
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
     monkeypatch.setitem(FUNCTIONS, "cosh", counted_cosh)
     spec = SweepSpec(family, law, (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
     first = run_sweep(spec)
-    first_calls = list(calls)
+    first_gained, first_calls = list(gained), list(calls)
+    gained.clear()
     calls.clear()
     law_calls.clear()
     # A second identical sweep recomputes everything: no cache outlives a call.
     assert run_sweep(spec) == first
-    assert calls == first_calls
-    assert len(calls) == len(set(calls)) > 0
+    assert (gained, calls) == (first_gained, first_calls)
+    assert len(gained) == len(set(gained)) > 0
+    assert set(calls) <= set(gained) and len(calls) == len(set(calls))
     if law == COUNTED_LAW:
-        # The code of the law is kept, but it runs once per d(n) and twice
-        # more per scheme, for the probes at n = 0 and n = 1.
+        # Every value of an expr: law is one call, and the code of the law
+        # runs once per d(n) and twice more per scheme, for the probes at
+        # n = 0 and n = 1.
+        assert calls == gained
         assert len(law_calls) == len(calls) + 2 * len(spec.q_values)
 
 

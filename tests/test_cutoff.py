@@ -3,8 +3,9 @@
 ``probability_cutoff`` starts from the log estimate ceil(ln tol / ln r) - 1
 and corrects it by single steps.  At a boundary ratio r = tol^(1/k) the
 estimate is off by one in either direction, so these cases run both
-correction loops.  The cutoff and the d-weighted scan share the term cap
-and the check of their inputs.
+correction loops.  The cutoff and the d-weighted series share the term
+cap and the check of their inputs.  A built-in law's series stops where
+its closed tail is at most tol of the whole sum; its edge cases end here.
 """
 
 import math
@@ -13,11 +14,22 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock import DeformationScheme, DivergenceError
+from qfock import DeformationScheme, DivergenceError, ThermalSpec, thermal_nbar_series
 from qfock.geometric import probability_cutoff, weighted_cutoff, weighted_series
+from qfock.squeezed import SqueezedSpec, nbar_series
+
+from helpers import reference_closed_cutoff, reference_closed_scan
 
 TOLS = (1e-12, 1e-8, 1e-3, 0.5)
 CAP = 200_000
+SCHEMES = {
+    "undeformed": DeformationScheme.undeformed,
+    "bm-0.5": lambda: DeformationScheme.biedenharn_macfarlane(0.5),
+    "bm-1.3": lambda: DeformationScheme.biedenharn_macfarlane(1.3),
+    "bm-2": lambda: DeformationScheme.biedenharn_macfarlane(2.0),
+    "expr": lambda: DeformationScheme.custom("n^2", 1.0),
+}
+BUILT_IN = ["undeformed", "bm-0.5", "bm-1.3", "bm-2"]
 
 
 def _is_minimal(r, tol, n):
@@ -89,9 +101,111 @@ def test_scan_rejects_ratio_outside_unit_interval(ratio):
         weighted_cutoff(scheme, ratio, 1e-12)
 
 
+@pytest.mark.parametrize("name", ["bm-0.5", "bm-2", "expr"])
+@pytest.mark.parametrize("ratio", [1.0, 1.5, -0.5, math.nan, math.inf])
+def test_ratio_is_checked_before_the_verdict(ratio, name):
+    # 2 * 1.5 >= 1 would otherwise read as divergence; no d(n) is asked for.
+    message = re.escape(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    scheme = SCHEMES[name]()
+    with pytest.raises(ValueError, match=message):
+        weighted_series(scheme, ratio, 1e-12, 1.0)
+    with pytest.raises(ValueError, match=message):
+        weighted_cutoff(scheme, ratio, 1e-12)
+    assert scheme.d_values(0) == []
+
+
 def test_scan_stops_at_the_term_cap():
     # A bounded law at r = 1 - 1e-5 has not settled after CAP terms.
     scheme = DeformationScheme.custom("2*(1 - 0.5^n)", 1.0)
     message = f"series did not settle within {CAP} terms"
     with pytest.raises(DivergenceError, match=message):
         weighted_series(scheme, 1.0 - 1e-5, 1e-12, 1e-5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, math.nan])
+def test_closed_stop_rejects_a_tolerance_outside_the_unit_interval(tol):
+    message = re.escape(f"tail tolerance must lie in (0, 1), got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        weighted_series(SCHEMES["bm-2"](), 0.3, tol, 0.7)
+    with pytest.raises(ValueError, match=message):
+        weighted_cutoff(SCHEMES["undeformed"](), 0.3, tol)
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_closed_stop_at_ratio_zero_is_an_empty_sum(name):
+    for prefactor in (1.0, -0.5):
+        total = weighted_series(SCHEMES[name](), 0.0, 1e-12, prefactor)
+        assert math.copysign(1.0, total) == 1.0 and total == 0.0
+    assert weighted_cutoff(SCHEMES[name](), 0.0, 1e-12) == 0
+
+
+def test_closed_stop_ends_where_tol_times_the_sum_underflows():
+    # Each sum is at most about 1e-300, so tol * |sum| underflows, to 0.0
+    # at the smallest ratios; the stop is relative to the sum and ends.
+    bm = DeformationScheme.biedenharn_macfarlane(2.0)
+    spec = ThermalSpec(theta=745.0, scheme=bm)
+    assert 0.0 < spec.law.r and 1e-12 * spec.law.r == 0.0
+    assert thermal_nbar_series(spec) == spec.law.r
+    assert weighted_cutoff(bm, spec.law.r, 1e-12) == 1
+    squeezed = SqueezedSpec(xi=1e-170, scheme=bm)
+    assert squeezed.law.r == 0.0 and nbar_series(squeezed) == 0.0
+    for ratio in (spec.law.r, 1e-20, 0.3):
+        for name in BUILT_IN:
+            want = reference_closed_scan(SCHEMES[name](), ratio, 1e-12, 1e-300)
+            got = weighted_series(SCHEMES[name](), ratio, 1e-12, 1e-300)
+            assert got == want[0], (name, ratio)
+            assert weighted_cutoff(SCHEMES[name](), ratio, 1e-12) == want[1]
+
+
+def _bounds(q, ratio, n):
+    """Bounds on sum_{m>n} d(m) ratio^m from n c^(n-1) <= d(n) <= n b^(n-1),
+    b = max(q, 1/q) = 1/c, each sum_{m>n} m x^m in closed form, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b, r = mpmath.mpf(max(q, 1.0 / q)), mpmath.mpf(ratio)
+
+        def tail(base):
+            x = base * r
+            return x ** (n + 1) * ((n + 1) - n * x) / ((1 - x) ** 2 * base)
+
+        return tail(1 / b), tail(b), r / ((1 - b * r) * (1 - r / b))
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-8, 1.0 - 3e-9, 1.0 + 1e-9, 1.0 + 1e-8])
+@pytest.mark.parametrize("ratio", [0.3, 0.9, 0.99])
+def test_closed_stop_near_q_one(q, ratio):
+    # The two geometric parts of the tail cancel to about 1e-8 here; the
+    # bounds on d(n) are within a factor 1 + 2 N |ln q| of each other.
+    tol = 1e-12
+    scheme = DeformationScheme.biedenharn_macfarlane(q)
+    n = weighted_cutoff(scheme, ratio, tol)
+    assert n == reference_closed_cutoff(scheme, ratio, tol)
+    _, upper, total = _bounds(q, ratio, n)
+    lower, _, _ = _bounds(q, ratio, n - 1)
+    assert upper <= tol * total * (1 + 1e-3)
+    assert lower > tol * total * (1 + 1e-3)  # N - 1 falls short by a whole step
+    mean = weighted_series(scheme, ratio, tol, 1.0 - ratio)
+    assert abs(mean - float((1 - ratio) * total)) <= 2e-12 * mean
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_negative_prefactor_flips_the_sign_only(name):
+    for ratio in (0.05, 0.3, 0.45):
+        plus = weighted_series(SCHEMES[name](), ratio, 1e-12, 0.5)
+        assert weighted_series(SCHEMES[name](), ratio, 1e-12, -0.5) == -plus < 0.0
+        assert reference_closed_scan(SCHEMES[name](), ratio, 1e-12, -0.5)[0] == -plus
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_term_that_is_not_finite_is_a_divergence_naming_n(name):
+    # d(2) * 1e308 is inf for every built-in law (d(2) = q + 1/q >= 2).
+    with pytest.raises(DivergenceError, match=r"^series term is not finite at n=2$"):
+        weighted_series(SCHEMES[name](), 0.3, 1e-12, 1e308)
+
+
+def test_finite_terms_whose_sum_overflows_are_a_divergence():
+    # N = 3 at tol 0.99; the terms are finite, their sum is 2.7e308.
+    scheme = DeformationScheme.undeformed()
+    assert weighted_cutoff(scheme, 0.95, 0.99) == 3
+    with pytest.raises(DivergenceError, match=r"^series sum overflowed by n=3$"):
+        weighted_series(scheme, 0.95, 0.99, 5e307)

@@ -29,7 +29,7 @@ MATRIX_CALLS = [["verify", "--dims", "4"]] + [
 ]
 
 # SHA-256 of the SWEEP_CALLS stdout, each call's exit line after its output.
-SWEEP_SHA256 = "8b0eea2835d398ef2f7894efd09dbcea08966488a9b5515d50ccba32d500bad5"
+SWEEP_SHA256 = "8542509854586f5eabe1603fe358ff4696a263f715a26fd098c258fbc15b157c"
 
 MATRIX_OUTPUT = """\
 scheme=undeformed q=1.0 dim=4
