@@ -386,37 +386,20 @@ _NEGATIVE_VALUE = re.compile(r"-\.?\d")  # "-1,1", "-.5", "-1e-3": a value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises ValueError instead of exiting.  Text that starts with '-' and
-    a number is a value: argparse's own rule takes only "-1" or "-1.5", so
-    "--xi -1,1" lacked its value.  ``operand`` names a positional whose
-    text may start with '-' (``parse``'s expression): argparse reads other
-    such text as an unknown option, so the error for the missing operand
-    then says that it goes after '--'."""
+    """Raises ValueError instead of exiting.  ``values`` matches the text
+    that starts with '-' yet is a value, not an option.  By default that is
+    text that starts with a number: argparse's own rule takes only "-1" or
+    "-1.5", so "--xi -1,1" lacked its value.  ``parse`` takes any text
+    after one '-', so "qfock parse -n+2*n" reads the expression.  A
+    single-dash option would claim such text by its prefix, so ``parse``
+    keeps to '--' options but -h, and no law starts with 'h'."""
 
-    def __init__(self, *args, operand: str | None = None, **kwargs):
+    def __init__(self, *args, values: re.Pattern = _NEGATIVE_VALUE, **kwargs):
         super().__init__(*args, **kwargs)
-        self._operand = operand
-        self._negative_number_matcher = _NEGATIVE_VALUE
+        self._negative_number_matcher = values
 
     def error(self, message):
         raise ValueError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        try:
-            return super().parse_known_args(args, namespace)
-        except ValueError as exc:
-            missing = f"the following arguments are required: {self._operand}"
-            if self._operand is None or str(exc) != missing or not any(map(_dash_text, args)):
-                raise
-            hint = f"an {self._operand} that starts with '-' goes after '--'"
-            usage = f"{self.prog} -- {self._operand.upper()}"
-            raise ValueError(f"{missing} ({hint}: {usage})") from None
-
-
-def _dash_text(arg: str) -> bool:
-    """Text that the parser reads as an unknown option: '-x...', where x is
-    neither '-' nor the start of a number."""
-    return arg[:1] == "-" and arg[1:2] not in ("", "-") and not _NEGATIVE_VALUE.match(arg)
 
 
 @functools.cache
@@ -451,7 +434,9 @@ def _build_parser() -> _ArgumentParser:
     ops.add_argument("--dim", type=int, required=True)
     ops.set_defaults(func=_cmd_ops)
 
-    parse = sub.add_parser("parse", help="validate a deformation expression", operand="expression")
+    parse = sub.add_parser(
+        "parse", help="validate a deformation expression", values=re.compile("-(?!-)")
+    )
     parse.add_argument("expression")
     parse.add_argument("--q", type=float)
     parse.add_argument("--n", type=int)

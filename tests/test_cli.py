@@ -545,23 +545,39 @@ def test_parse_with_evaluation(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 9.0
 
 
-def test_parse_expression_with_leading_dash_goes_after_double_dash(capsys):
-    # argparse reads "-n+2*n" as an unknown option, so the expression is missing
-    assert main(["parse", "-n+2*n"]) == 1
-    line = (
-        "error: the following arguments are required: expression "
-        "(an expression that starts with '-' goes after '--': qfock parse -- EXPRESSION)"
-    )
-    _assert_one_error_line(capsys.readouterr(), line)
+def test_parse_expression_may_start_with_dash(capsys):
+    # parse reads any text after one '-' as a value, so "-n+2*n" needs no '--'
+    assert main(["parse", "-n+2*n"]) == 0
+    spaced = capsys.readouterr()
+    assert spaced.out == '{"source": "-n+2*n", "canonical": "((-n) + (2.0 * n))"}\n'
     assert main(["parse", "--", "-n+2*n"]) == 0
-    assert capsys.readouterr().out == (
-        '{"source": "-n+2*n", "canonical": "((-n) + (2.0 * n))"}\n'
-    )
-    # no text that starts with '-' (a number is a value): the message is argparse's
+    assert capsys.readouterr() == spaced
+    # no expression at all: the message is argparse's
     for argv in (["parse"], ["parse", "--q", "-1"], ["parse", "--"]):
         assert main(argv) == 1
         line = "error: the following arguments are required: expression"
         _assert_one_error_line(capsys.readouterr(), line)
+
+
+@pytest.mark.parametrize("evaluate", [[], ["--q", "2", "--n", "3"]])
+@pytest.mark.parametrize(
+    "expression", ["-n+2*n", "-(n)", "-q+1", "-2*n+3*n", "-x", "-inf", "-n=3"]
+)
+def test_parse_dash_text_reads_as_after_double_dash(capsys, expression, evaluate):
+    code = main(["parse", expression, *evaluate])
+    direct = capsys.readouterr()
+    assert main(["parse", *evaluate, "--", expression]) == code
+    assert capsys.readouterr() == direct
+
+
+def test_parse_options_leave_dash_text_to_the_expression():
+    # a single-dash option would claim dash text by its prefix; -h is looked
+    # up whole before the value pattern is tried, and no law starts with 'h'
+    (subparsers,) = cli._build_parser()._subparsers._group_actions
+    parse = subparsers.choices["parse"]
+    claimed = [s for s in parse._option_string_actions if parse._negative_number_matcher.match(s)]
+    assert claimed == ["-h"]
+    assert not parse._has_negative_number_optionals
 
 
 def test_parse_error_has_position_and_exit_one(capsys):

@@ -188,6 +188,36 @@ def test_closed_stop_near_q_one(q, ratio):
     assert abs(mean - float((1 - ratio) * total)) <= 2e-12 * mean
 
 
+@pytest.mark.parametrize(
+    "scheme,ratio,tol,cutoff",
+    [
+        (DeformationScheme.undeformed(), 0.39775785655519447, 1.429784251813365e-122, 311),
+        (
+            DeformationScheme.biedenharn_macfarlane(2.847775365276145),
+            0.2547019886630948,
+            2.032041861564904e-24,
+            170,
+        ),
+    ],
+    ids=["walk-up", "walk-down"],
+)
+def test_closed_stop_walks_to_the_minimal_float_product(scheme, ratio, tol, cutoff):
+    # The log fixed point lands one below N in the first cell and one above
+    # it in the second, so the walks decide; N is minimal in the float
+    # product x^n part(n) that they test.
+    peak, lam = max(scheme.q, 1.0 / scheme.q), abs(scheme.lam)
+    x, y = peak * ratio, ratio / peak
+
+    def product(n):
+        if lam == 0.0:
+            return x**n * (n + 1 - y * n)
+        unit = math.expm1(-2.0 * lam)
+        return x**n * (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
+
+    assert weighted_cutoff(scheme, ratio, tol) == cutoff
+    assert product(cutoff) <= tol < product(cutoff - 1)
+
+
 @pytest.mark.parametrize("name", BUILT_IN)
 def test_negative_prefactor_flips_the_sign_only(name):
     for ratio in (0.05, 0.3, 0.45):
