@@ -19,11 +19,10 @@ the scheme's tree on the first call and keeps its law while the tree lives.
 Each scheme instance carries its own column d(0), d(1), ..., filled on
 demand and shared by everything that reads the scheme, so a sweep that
 resolves one scheme per q evaluates each d(n) of that column once.  A
-value comes from one ``eval_d`` call, except where one request adds more
-than one value to the column of a built-in law: that band is computed in
-one pass of ``eval_d``'s own expression, and left to ``eval_d`` if any of
-it is not finite.  Either way the column holds exactly the bits a direct
-call returns, and every failure is raised by ``eval_d``.
+built-in law has one evaluator, the one-pass sinh band of ``_block``: the
+column asks it for every value it adds, one or many, and ``eval_d`` asks
+it for one.  A band that is not finite, and every value of a custom law,
+goes to ``eval_d`` one value at a time, so every failure is raised there.
 """
 
 from __future__ import annotations
@@ -132,18 +131,16 @@ class DeformationScheme:
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown to at least ``count`` values,
         in order, and returned itself (read-only; it may already be longer).
-        A built-in law that must add more than one value adds them as one
-        block; otherwise, and if the block is not finite, each value comes
-        from ``eval_d``.  If d(n) fails, d(0..n-1) are kept and the error
-        propagates; the next call that needs d(n) raises it again.
+        A built-in law adds its values as one band; a custom law, and a band
+        that is not finite, adds each value by ``eval_d``.  If d(n) fails,
+        d(0..n-1) are kept and the error propagates; the next call that
+        needs d(n) raises it again.
         """
         column = self._column
         start = n = len(column)
         if n < count:
-            new = []
-            if count - n > 1 and self.kind != CUSTOM:
-                new = self._block(n, count)
-                n += len(new)
+            new = [] if self.kind == CUSTOM else self._block(n, count)
+            n += len(new)
             try:
                 while n < count:  # cheaper than a range for the scan's one value per call
                     new.append(eval_d(self, n))
@@ -155,13 +152,14 @@ class DeformationScheme:
         return column
 
     def _block(self, start: int, stop: int) -> list[float]:
-        """d(start..stop-1) of a built-in law by ``eval_d``'s own expression,
-        or [] if any of them is not finite, so that ``eval_d`` raises."""
+        """d(start..stop-1) of a built-in law, sinh(m lam) / sinh(lam) and m
+        itself at lam = 0, or [] if any of them is not finite, so that
+        ``eval_d`` raises.  The only evaluator of a built-in d(n)."""
         lam = self.lam
         if lam == 0.0:
             return [float(m) for m in range(start, stop)]
-        s = math.sinh(lam)
         try:
+            s = math.sinh(lam)
             block = [math.sinh(m * lam) / s for m in range(start, stop)]
         except OverflowError:
             return []
@@ -178,7 +176,9 @@ class DeformationScheme:
 
 
 def eval_d(scheme: DeformationScheme, n: int) -> float:
-    """Deformation value d(n) for occupation number n >= 0."""
+    """Deformation value d(n) for occupation number n >= 0: a custom law's
+    tree, or a built-in law's band of one value, with OverflowError naming
+    n and q when that band is not finite."""
     try:
         m = int(n)
     except (OverflowError, ValueError):  # an infinite or NaN n
@@ -187,13 +187,7 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
         raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
     if scheme.kind == CUSTOM:
         return evaluate_tree(scheme.expr, scheme.q, float(m))
-    lam = scheme.lam
-    if lam == 0.0:
-        return float(m)
-    try:
-        value = math.sinh(m * lam) / math.sinh(lam)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+    band = scheme._block(m, m + 1)
+    if not band:
         raise OverflowError(f"deformation value overflowed at n={m} (q={scheme.q!r})")
-    return value
+    return band[0]

@@ -1,7 +1,8 @@
-"""Small shared test utilities, the dense-matrix reference routes, the
-per-call ``eval_d`` references for the routes that read a scheme's column
-(the closed stop of the built-in laws, the adaptive scan of ``expr:``
-laws), and the tree-walking reference for compiled expressions."""
+"""Small shared test utilities, the written-out sinh form of a built-in
+d(n), the dense-matrix reference routes, the per-call ``eval_d``
+references for the routes that read a scheme's column (the closed stop of
+the built-in laws, the adaptive scan of ``expr:`` laws), and the
+tree-walking reference for compiled expressions."""
 
 import math
 
@@ -43,6 +44,15 @@ def geometric_tail(r, count):
 def bm_reference(q, n):
     """Direct evaluation of the symmetric deformation (q^n - q^-n)/(q - q^-1)."""
     return (q ** float(n) - q ** (-float(n))) / (q - q ** (-1.0))
+
+
+def sinh_reference(q, n):
+    """d(n) of a built-in law written out: sinh(n lam) / sinh(lam) with
+    lam = ln q, and n itself at q = 1."""
+    if q == 1.0:
+        return float(n)
+    lam = math.log(q)
+    return math.sinh(n * lam) / math.sinh(lam)
 
 
 def undeformed_nbar_squeezed(xi):

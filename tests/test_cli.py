@@ -616,6 +616,15 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["sweep", "squeezed", "--xi", "20,1"],
             "error: squeezing parameter xi=20.0 rounds the pair-number ratio tanh^2 xi to 1",
         ),
+        # sinh(ln q) itself overflows for every subnormal q
+        (
+            ["verify", "--scheme", "bm", "--q", "1e-320", "--dims", "4"],
+            "error: deformation value overflowed at n=0 (q=1e-320)",
+        ),
+        (
+            ["ops", "annihilation", "--scheme", "bm", "--q", "5e-324", "--dim", "3"],
+            "error: deformation value overflowed at n=0 (q=5e-324)",
+        ),
     ],
 )
 def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):

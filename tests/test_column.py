@@ -27,7 +27,12 @@ from qfock.expressions import FUNCTIONS
 from qfock.cli import SweepSpec, run_sweep
 from qfock.geometric import weighted_cutoff, weighted_series
 
-from helpers import reference_closed_scan, reference_moments, reference_weighted_scan
+from helpers import (
+    reference_closed_scan,
+    reference_moments,
+    reference_weighted_scan,
+    sinh_reference,
+)
 
 QUADRATIC = "n + (q - 1)*n*(n - 1)/2"
 FAILS_AT_3 = "2*n/(3 - n)"  # d(0) = 0, d(1) = 1, d(2) = 4, division by zero at n = 3
@@ -259,8 +264,15 @@ def _grown(scheme, counts):
 
 
 def _per_value(make, count):
-    """The column of a fresh scheme grown one ``eval_d`` value at a time."""
+    """The column of a fresh scheme grown one value at a time: a band of
+    one value per growth for a built-in law, one ``eval_d`` call for a
+    custom law."""
     return _grown(make(), range(1, count + 1))
+
+
+def _assert_sinh_bits(q, column):
+    """Every value of a built-in column is the written-out sinh form."""
+    assert column == [float.hex(sinh_reference(q, n)) for n in range(len(column))]
 
 
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
@@ -269,6 +281,7 @@ def test_block_column_equals_per_value_column(name, count):
     make = SCHEMES[name]
     want = _per_value(make, count)
     assert _grown(make(), [count]) == want
+    _assert_sinh_bits(make().q, want[0])
     if name == "bm-2" and count == 1100:
         assert len(want[0]) == 1025
         assert want[1] == (OverflowError, "deformation value overflowed at n=1025 (q=2.0)")
@@ -285,9 +298,14 @@ def test_block_column_equals_per_value_column(name, count):
 @example(q=1e300, count=1100)
 # sinh(1089 lam) is finite but d(1089) = sinh(1089 lam) / sinh(lam) is not.
 @example(q=1.92, count=1090)
+# sinh(lam) itself overflows for every subnormal q: no value, and one error at n = 0.
+@example(q=1e-320, count=3)
+@example(q=5e-324, count=3)
 def test_block_column_equals_per_value_column_at_any_q(q, count):
     make = lambda: DeformationScheme.biedenharn_macfarlane(q)  # noqa: E731
-    assert _grown(make(), [count]) == _per_value(make, count)
+    want = _per_value(make, count)
+    assert _grown(make(), [count]) == want
+    _assert_sinh_bits(q, want[0])
 
 
 @pytest.mark.parametrize("name", BUILT_IN)
@@ -317,6 +335,10 @@ def test_ladder_of_a_built_in_law_makes_no_eval_d_call(monkeypatch):
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
     annihilation_matrix(DeformationScheme.biedenharn_macfarlane(1.3), 512)
     annihilation_matrix(DeformationScheme.undeformed(), 512)
+    # One-value growths, as the scan makes them, read the same band.
+    for scheme in (DeformationScheme.biedenharn_macfarlane(1.3), DeformationScheme.undeformed()):
+        for n in range(601):
+            scheme.d_values(n + 1)
     assert calls == []
     annihilation_matrix(DeformationScheme.custom(QUADRATIC, 1.5), 512)
     assert calls == list(range(512))
