@@ -8,13 +8,17 @@ generalization
     d(n) = (q^n - q^-n) / (q - q^-1) = sinh(n lam) / sinh(lam),  lam = ln q
 
 is invariant under q <-> 1/q and reduces to n as q -> 1.  It is evaluated
-in the sinh form, which keeps full relative precision however close q is
-to 1; only q = 1 itself (the undeformed scheme) returns n directly.
+in the sinh form, with lam = |ln q|, which keeps full relative precision
+however close q is to 1; only q = 1 itself (the undeformed scheme) returns
+n directly.  Where sinh(n lam) overflows, d(n) may still be finite (for at
+most one more n, when sinh(lam) > 1), so it is formed there as
+e^((n-1) lam) (1 - e^(-2 n lam)) / (1 - e^(-2 lam)).
 Arbitrary user-supplied laws in q and n are accepted as expression text;
 they are probed at n = 0 and n = 1 during construction, since everything
 downstream assumes d(0) = 0 and d(1) = 1.  Every value of such a law,
 probes included, comes from ``expressions.evaluate_tree``, which compiles
-the scheme's tree on the first call and keeps its law while the tree lives.
+the scheme's tree on the first call and keeps its law while the tree lives;
+schemes of one law text share one tree.
 
 Each scheme instance carries its own column d(0), d(1), ..., filled on
 demand and shared by everything that reads the scheme, so a sweep that
@@ -28,6 +32,7 @@ goes to ``eval_d`` one value at a time, so every failure is raised there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,6 +58,7 @@ CUSTOM = "custom"
 _KINDS = (UNDEFORMED, BIEDENHARN_MACFARLANE, CUSTOM)
 
 _PROBE_TOL = 1e-12
+_SINH_ARG_MAX = math.asinh(sys.float_info.max)  # 710.4758600739439
 
 
 @dataclass(frozen=True)
@@ -152,15 +158,23 @@ class DeformationScheme:
         return column
 
     def _block(self, start: int, stop: int) -> list[float]:
-        """d(start..stop-1) of a built-in law, sinh(m lam) / sinh(lam) and m
-        itself at lam = 0, or [] if any of them is not finite, so that
-        ``eval_d`` raises.  The only evaluator of a built-in d(n)."""
-        lam = self.lam
+        """d(start..stop-1) of a built-in law, or [] if any of them is not
+        finite, so that ``eval_d`` raises.  The only evaluator of a built-in
+        d(n): with lam = |ln q|, sinh(m lam) / sinh(lam) while m lam is in
+        sinh's range, the exponential form past it, and m itself at lam = 0."""
+        lam = abs(self.lam)
         if lam == 0.0:
             return [float(m) for m in range(start, stop)]
+        # A subnormal q has lam past sinh's range too; d(0) is still 0.
+        s = math.sinh(lam) if lam <= _SINH_ARG_MAX else math.inf
+        c = -math.expm1(-2.0 * lam)
         try:
-            s = math.sinh(lam)
-            block = [math.sinh(m * lam) / s for m in range(start, stop)]
+            block = [
+                math.sinh(m * lam) / s
+                if m * lam <= _SINH_ARG_MAX
+                else math.exp((m - 1) * lam) * -math.expm1(-2.0 * m * lam) / c
+                for m in range(start, stop)
+            ]
         except OverflowError:
             return []
         # inf or nan makes the sum non-finite; a finite block whose sum

@@ -24,9 +24,10 @@ the values and error messages are those of walking the tree.  Only fixed
 text and generated names enter the generated source; literals and
 functions are bound as its globals.  ``evaluate_tree`` keeps each live
 tree's function, keyed by the tree's identity and dropped when the tree
-is collected, so a tree is walked into source once.  Across trees, each
-distinct law is compiled once per process: a bounded least-recently-used
-cache holds the compiled code, never a value of it.
+is collected, so a tree is walked into source once.  ``parse_deformation``
+keeps one tree per text in a bounded least-recently-used cache, so each
+distinct law text is parsed and compiled once while its tree is kept;
+nothing caches a value of a law.
 """
 
 from __future__ import annotations
@@ -213,13 +214,22 @@ class _Parser:
         )
 
 
+_CACHE_SIZE = 256  # texts kept with their trees; the least recently used goes first
+
+
 def parse_deformation(source: str) -> ExpressionTree:
-    """Parse expression text into an immutable tree.
+    """Parse expression text into an immutable tree; equal texts get the
+    same tree while it is among the last ``_CACHE_SIZE`` texts parsed.
 
     Raises ExpressionError (with a character position) on malformed input,
     unknown identifiers or function names, a literal that overflows, or a
     law past either 128-token limit.
     """
+    return _parse(source)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _parse(source: str) -> ExpressionTree:
     return _Parser(source).parse()
 
 
@@ -244,7 +254,6 @@ def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
 
 
 _LAWS: dict[int, Callable[[float, float], float]] = {}  # id(tree) -> its law
-_CACHE_SIZE = 256  # compiled laws kept; the least recently used goes first
 # Spellings of BinaryOp.op: the table's own strings enter the generated
 # source, never the tree's.  Any other op is a power, as in a walk of the tree.
 _OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
@@ -259,9 +268,8 @@ def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
     per node, in the walk's order (left operand, right operand, then the
     operator), with ``evaluate_tree``'s error mapping around them.  Only
     fixed text and generated names enter the source: literals and
-    functions are bound as the globals g0, g1, ...  ``_build`` compiles
-    it, keyed on the source, the bound objects and their ``repr``, which
-    tells the literals 0.0 and -0.0 apart although they are equal.
+    functions are bound as the globals g0, g1, ... of the namespace the
+    source is executed in.
     """
     lines: list[str] = []
     bound: list = []
@@ -319,19 +327,9 @@ def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
         f'        raise EvaluationError(f"non-finite value {{{value}!r}} at q={{q!r}}, n={{n!r}}")\n'
         f"    return {value}\n"
     )
-    return _build(source, tuple(bound), tuple(map(repr, bound)))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _build(
-    source: str, bound: tuple, spellings: tuple[str, ...]
-) -> Callable[[float, float], float]:
-    """Compile the source of ``law(q, n)`` with the bound objects as its
-    globals g0, g1, ... and return the law.  ``spellings`` only keys the
-    cache."""
     namespace = {f"g{i}": value for i, value in enumerate(bound)}
     namespace.update(EvaluationError=EvaluationError, isfinite=math.isfinite)
-    exec(compile(source, "<expr law>", "exec"), namespace)
+    exec(source, namespace)
     return namespace["law"]
 
 

@@ -5,6 +5,7 @@ the built-in laws, the adaptive scan of ``expr:`` laws), and the
 tree-walking reference for compiled expressions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from qfock.expressions import (
     Variable,
 )
 from qfock.paired_state import MomentSet
+
+SINH_ARG_MAX = math.asinh(sys.float_info.max)  # sinh overflows past it
 
 
 def close(a, b, tol):
@@ -48,11 +51,14 @@ def bm_reference(q, n):
 
 def sinh_reference(q, n):
     """d(n) of a built-in law written out: sinh(n lam) / sinh(lam) with
-    lam = ln q, and n itself at q = 1."""
+    lam = |ln q| while sinh is in range, e^((n-1) lam) (1 - e^(-2 n lam)) /
+    (1 - e^(-2 lam)) past it, and n itself at q = 1."""
     if q == 1.0:
         return float(n)
-    lam = math.log(q)
-    return math.sinh(n * lam) / math.sinh(lam)
+    lam = abs(math.log(q))
+    if n * lam <= SINH_ARG_MAX and lam <= SINH_ARG_MAX:
+        return math.sinh(n * lam) / math.sinh(lam)
+    return math.exp((n - 1) * lam) * -math.expm1(-2.0 * n * lam) / -math.expm1(-2.0 * lam)
 
 
 def undeformed_nbar_squeezed(xi):

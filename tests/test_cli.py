@@ -616,20 +616,32 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["sweep", "squeezed", "--xi", "20,1"],
             "error: squeezing parameter xi=20.0 rounds the pair-number ratio tanh^2 xi to 1",
         ),
-        # sinh(ln q) itself overflows for every subnormal q
+        # d(0) = 0 and d(1) = 1 for every q; for a subnormal q, d(2) overflows
         (
             ["verify", "--scheme", "bm", "--q", "1e-320", "--dims", "4"],
-            "error: deformation value overflowed at n=0 (q=1e-320)",
+            "error: deformation value overflowed at n=2 (q=1e-320)",
         ),
         (
             ["ops", "annihilation", "--scheme", "bm", "--q", "5e-324", "--dim", "3"],
-            "error: deformation value overflowed at n=0 (q=5e-324)",
+            "error: deformation value overflowed at n=2 (q=5e-324)",
         ),
     ],
 )
 def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):
     assert main(argv) == 1
     _assert_one_error_line(capsys.readouterr(), line)
+
+
+def test_built_in_value_past_sinh_range_is_not_an_overflow(capsys):
+    # sinh(n lam) overflows one index before d(n) does when sinh(lam) > 1:
+    # d(309) at q = 10 is 1.0101e308, and d(2) at q = 1e300 is q + 1/q.
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["verify", "--scheme", "bm", "--q", "10", "--dims", "309"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert main(["ops", "annihilation", "--scheme", "bm", "--q", "1e300", "--dim", "3"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    want = mpmath.sqrt(mpmath.mpf(1e300) + 1 / mpmath.mpf(1e300))
+    assert entries[1][2] == pytest.approx(float(want), rel=1e-13)
 
 
 def test_parse_eval_needs_both_flags(capsys):

@@ -23,6 +23,7 @@ from qfock import (
     verify_algebra,
 )
 from qfock.deformation import eval_d
+from qfock import expressions
 from qfock.expressions import FUNCTIONS
 from qfock.cli import SweepSpec, run_sweep
 from qfock.geometric import weighted_cutoff, weighted_series
@@ -298,7 +299,7 @@ def test_block_column_equals_per_value_column(name, count):
 @example(q=1e300, count=1100)
 # sinh(1089 lam) is finite but d(1089) = sinh(1089 lam) / sinh(lam) is not.
 @example(q=1.92, count=1090)
-# sinh(lam) itself overflows for every subnormal q: no value, and one error at n = 0.
+# sinh(lam) itself overflows for every subnormal q, yet d(0) = 0 and d(1) = 1.
 @example(q=1e-320, count=3)
 @example(q=5e-324, count=3)
 def test_block_column_equals_per_value_column_at_any_q(q, count):
@@ -433,7 +434,7 @@ COUNTED_LAW = "expr:n*cosh(0*n) + (q - 1)*n*(n - 1)/2"  # the quadratic law
         pytest.param("thermal", COUNTED_LAW, id="thermal-expr"),
     ],
 )
-def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family, law):
+def test_sweep_evaluates_each_value_once_per_column(monkeypatch, request, family, law):
     """Each (q, n) enters its column once; a built-in law fills its column
     in blocks, so the values each column gains are counted, and each
     ``eval_d`` call must be one of them."""
@@ -458,6 +459,10 @@ def test_sweep_evaluates_each_value_once_per_column(monkeypatch, family, law):
 
     monkeypatch.setattr(DeformationScheme, "d_values", counted_values)
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
+    # A cached tree keeps the law it was compiled with: parse afresh under
+    # the counting cosh, and leave no tree compiled with it behind.
+    expressions._parse.cache_clear()
+    request.addfinalizer(expressions._parse.cache_clear)
     monkeypatch.setitem(FUNCTIONS, "cosh", counted_cosh)
     spec = SweepSpec(family, law, (0.5, 1.0, 1.3), (0.2, 0.5, 0.8, 1.0, 1.5))
     first = run_sweep(spec)

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import sys
 
 import pytest
 
@@ -77,6 +78,22 @@ def test_eval_overflow_at_huge_n():
     scheme = DeformationScheme.biedenharn_macfarlane(2.0)
     with pytest.raises(OverflowError):
         eval_d(scheme, 5000)
+
+
+@pytest.mark.parametrize("q", [3.0, 10.0, 0.1, 1e300, 1e-300])
+def test_last_finite_value_is_not_an_overflow(q):
+    # where sinh(lam) > 1, d(n) can be finite although sinh(n lam) is not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lam = mpmath.log(mpmath.mpf(q))
+        n = 1
+        while mpmath.sinh((n + 1) * lam) / mpmath.sinh(lam) <= sys.float_info.max:
+            n += 1
+        want = mpmath.sinh(n * lam) / mpmath.sinh(lam)
+    scheme = DeformationScheme.biedenharn_macfarlane(q)
+    assert eval_d(scheme, n) == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(OverflowError, match=f"n={n + 1} "):
+        eval_d(scheme, n + 1)
 
 
 @pytest.mark.parametrize("q", [0.0, -1.0, float("nan"), float("inf")])

@@ -190,6 +190,7 @@ def test_compiled_matches_tree_walk_on_random_trees(tree, q, n):
     "source", ["n + (q - 1)*n*(n - 1)/2", "2*n/(3 - n)", "(exp(n) - 1)/(exp(1) - 1)"]
 )
 def test_scheme_compiles_its_law_once(source, monkeypatch):
+    expressions._parse.cache_clear()  # an earlier test may have compiled the text
     compiled = []
     compile_law = expressions._compile
 
@@ -202,7 +203,18 @@ def test_scheme_compiles_its_law_once(source, monkeypatch):
     for n in range(800):  # the last law overflows from n = 710
         got = _outcome(lambda: eval_d(scheme, n))
         assert got == _outcome(lambda: reference_evaluate_tree(scheme.expr, 1.5, float(n)))
+    # a scheme of the same text at another q shares the tree and its law
+    other = DeformationScheme.custom(source, 0.5)
+    assert other.expr is scheme.expr
+    assert eval_d(other, 2) == reference_evaluate_tree(scheme.expr, 0.5, 2.0)
     assert compiled == [scheme.expr]
+
+
+def test_equal_texts_share_one_tree():
+    text = "n + (q - 1)*n*(n - 1)/2"
+    copy = "".join(list(text))
+    assert copy is not text
+    assert parse_deformation(text) is parse_deformation(text) is parse_deformation(copy)
 
 
 # Hand-built trees may hold any string; the generated code must read each
@@ -256,30 +268,34 @@ def _zero_trees():
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
 def test_sign_of_zero_survives_the_cache(order):
     # 0.0 == -0.0, so a cache keyed on equal trees would hand one law the
-    # other's code; new trees each run, so each reaches the code cache
-    expressions._build.cache_clear()
+    # other's code; the parsed texts differ, so each gets its own tree
+    expressions._parse.cache_clear()
     for tree in _zero_trees()[::order]:
         got = evaluate_tree(tree, 2.0, 3.0)
         assert repr(got) == repr(reference_evaluate_tree(tree, 2.0, 3.0)), tree
 
 
 def test_compiled_laws_are_kept_up_to_the_bound():
-    expressions._build.cache_clear()
+    expressions._parse.cache_clear()
     bound = expressions._CACHE_SIZE
     for k in range(bound + 10):
         assert evaluate_tree(parse_deformation(f"n*{k}"), 1.0, 2.0) == 2.0 * k
-    info = expressions._build.cache_info()
+    info = expressions._parse.cache_info()
     assert info.currsize == info.maxsize == bound
     assert info.misses == bound + 10
 
 
 def test_dropped_schemes_leave_no_law_behind():
+    # the text cache keeps each parsed tree, so it is emptied to drop them
+    expressions._parse.cache_clear()
     start = len(expressions._LAWS)
     for k in range(1000):
         scheme = DeformationScheme.custom(f"n + {k}*n*(n - 1)", 1.5)
+        expressions._parse.cache_clear()
         assert scheme.d_values(3)[2] == 2.0 + 2.0 * k
         assert len(expressions._LAWS) == start + 1
     del scheme
+    expressions._parse.cache_clear()
     gc.collect()
     assert len(expressions._LAWS) == start
 

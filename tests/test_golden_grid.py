@@ -30,9 +30,9 @@ HIGH_S = {0.9: [0.99], 1.0 - 3e-8: [0.99, 0.999], 1.0 + 1.01e-8: [0.99, 0.999], 
 SCHEMES = [("bm", q, S_VALUES + HIGH_S.get(q, [])) for q in BM_Q]
 SCHEMES.append(("undeformed", 1.0, S_VALUES + [0.99, 0.999]))
 
-# Rows the old stop rule got wrong (ROADMAP items 2 and 1b): means of 32
-# and more that it read as divergent, and means of about 2e-9 that its
-# absolute limit cut short by a relative 4e-8.
+# Rows the old stop rule got wrong until the built-in laws' series stopped
+# at its closed cutoff: means of 32 and more that it read as divergent, and
+# means of about 2e-9 that its absolute limit cut short by a relative 4e-8.
 REPRO_CELLS = (
     [("squeezed", "undeformed", 1.0, xi) for xi in (2.5, 3.0, 4.0, 5.0)]
     + [("thermal", "undeformed", 1.0, theta) for theta in (0.02, 0.005)]
