@@ -27,6 +27,9 @@ built-in law has one evaluator, the one-pass sinh band of ``_block``: the
 column asks it for every value it adds, one or many, and ``eval_d`` asks
 it for one.  A band that is not finite, and every value of a custom law,
 goes to ``eval_d`` one value at a time, so every failure is raised there.
+A custom scheme also keeps its law's exponential-polynomial parts at its
+q (``parts``), found on the first series call; they are coefficients,
+not values of d(n).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .expressions import (
     EvaluationError,
     ExpressionTree,
     evaluate_tree,
+    exponential_parts,
     parse_deformation,
     render,
 )
@@ -133,6 +137,14 @@ class DeformationScheme:
     def lam(self) -> float:
         """lam = ln q, the parameter of the sinh form of the symmetric law."""
         return math.log(self.q)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[float, int, float], ...] | None:
+        """A custom law at this q as (c, k, b) parts of d(n) = sum c n^k b^n
+        (``expressions.exponential_parts``), found on first use; None for a
+        law outside that class and for a built-in law, whose sums have
+        their own closed form."""
+        return exponential_parts(self.expr, self.q) if self.kind == CUSTOM else None
 
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown to at least ``count`` values,

@@ -28,11 +28,17 @@ is collected, so a tree is walked into source once.  ``parse_deformation``
 keeps one tree per text in a bounded least-recently-used cache, so each
 distinct law text is parsed and compiled once while its tree is kept;
 nothing caches a value of a law.
+
+``exponential_parts`` maps a tree at one q to finite parts
+d(n) = sum_j c_j n^k_j b_j^n, or to None when the law is written with
+anything else; the weighted series sums such a law from its parts.  The
+parts are coefficients and bases, not values of d(n).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass
@@ -331,6 +337,128 @@ def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
     namespace.update(EvaluationError=EvaluationError, isfinite=math.isfinite)
     exec(source, namespace)
     return namespace["law"]
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_MAX_PARTS = 16  # parts of one law once like parts are merged
+_MAX_DEGREE = 8  # largest power of n in a part
+
+
+class _Outside(Exception):
+    """The subtree is not a finite exponential polynomial in n."""
+
+
+_Parts = dict[tuple[int, float], float]  # (k, b) -> c of the parts c n^k b^n
+
+
+def exponential_parts(
+    tree: ExpressionTree, q: float
+) -> tuple[tuple[float, int, float], ...] | None:
+    """The law at q as finite parts d(n) = sum_j c_j n^k_j b_j^n, one
+    (c_j, k_j, b_j) triple per part with c_j finite and nonzero and b_j
+    positive and finite, like parts (equal k and b) merged; or None.
+
+    Accepted: +, -, *, division by a subtree free of n, a subtree in n
+    raised to an integer 0..8, a positive n-free base raised to an affine
+    power of n (base^(a + b n) is base^a (base^b)^n), exp of an affine
+    argument, and any function of an n-free subtree.  A power or exp is
+    affine when its exponent's parts are alpha + beta n alone.  Every
+    n-free subtree is evaluated at q with the arithmetic of a tree walk.
+    None for any other construct, for an n-free value that raises or is
+    complex, for more than 16 parts or a power of n above 8, and for a
+    part whose coefficient or base is not finite (or whose base is 0).
+    """
+    try:
+        parts = _parts(tree, q)
+    except (_Outside, ArithmeticError, ValueError, KeyError):
+        return None
+    if not isinstance(parts, dict):
+        parts = {(0, 1.0): parts}
+    found = tuple((c, k, b) for (k, b), c in parts.items() if c != 0.0)
+    if found and all(math.isfinite(c) and 0.0 < b < math.inf for c, _, b in found):
+        return found
+    return None
+
+
+def _parts(node: ExpressionTree, q: float) -> float | _Parts:
+    """The value of an n-free subtree at q, or the parts of one in n;
+    _Outside, or the arithmetic's own error, when it has neither."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return q if node.name == "q" else {(1, 1.0): 1.0}
+    if isinstance(node, Negate):
+        value = _parts(node.operand, q)
+        return {key: -c for key, c in value.items()} if isinstance(value, dict) else -value
+    if isinstance(node, FunctionCall):
+        value = _parts(node.argument, q)
+        if not isinstance(value, dict):
+            return _real(FUNCTIONS[node.name](value))
+        if node.name != "exp":
+            raise _Outside
+        alpha, beta = _affine(value)
+        return {(0, math.exp(beta)): math.exp(alpha)}
+    left, right = _parts(node.left, q), _parts(node.right, q)
+    op = node.op
+    if not isinstance(left, dict) and not isinstance(right, dict):
+        return _real(_ARITHMETIC.get(op, operator.pow)(left, right))  # any other op is a power
+    if op in ("+", "-"):
+        merged = dict(left) if isinstance(left, dict) else {(0, 1.0): left}
+        addend = right if isinstance(right, dict) else {(0, 1.0): right}
+        for key, c in addend.items():
+            merged[key] = merged.get(key, 0.0) + (c if op == "+" else -c)
+        return _bounded(merged)
+    if op == "*":
+        if not isinstance(left, dict):
+            return {key: left * c for key, c in right.items()}
+        if not isinstance(right, dict):
+            return {key: c * right for key, c in left.items()}
+        return _product(left, right)
+    if op == "/":
+        if isinstance(right, dict):
+            raise _Outside
+        return {key: c / right for key, c in left.items()}
+    if isinstance(left, dict):  # a power of a subtree in n
+        if isinstance(right, dict) or right != int(right) or not 0 <= right <= _MAX_DEGREE:
+            raise _Outside
+        power: _Parts = {(0, 1.0): 1.0}
+        for _ in range(int(right)):
+            power = _product(power, left)
+        return power
+    if not left > 0.0:
+        raise _Outside
+    alpha, beta = _affine(right)
+    return {(0, left**beta): left**alpha}
+
+
+def _real(value):
+    if isinstance(value, complex):
+        raise _Outside
+    return value
+
+
+def _affine(parts: _Parts) -> tuple[float, float]:
+    """(alpha, beta) of parts alpha + beta n; _Outside for any other parts."""
+    if not parts.keys() <= {(0, 1.0), (1, 1.0)}:
+        raise _Outside
+    return parts.get((0, 1.0), 0.0), parts.get((1, 1.0), 0.0)
+
+
+def _product(left: _Parts, right: _Parts) -> _Parts:
+    product: _Parts = {}
+    for (k1, b1), c1 in left.items():
+        for (k2, b2), c2 in right.items():
+            key = (k1 + k2, b1 * b2)
+            if key[0] > _MAX_DEGREE:
+                raise _Outside
+            product[key] = product.get(key, 0.0) + c1 * c2
+    return _bounded(product)
+
+
+def _bounded(parts: _Parts) -> _Parts:
+    if len(parts) > _MAX_PARTS:
+        raise _Outside
+    return parts
 
 
 def render(tree: ExpressionTree) -> str:

@@ -7,18 +7,20 @@ on it: the probabilities, the mean under the symmetric deformation, the
 quadrature variances, and the entropy.  The squeezed and thermal modules
 only map their physical parameter onto a law.  This module also owns the
 rule for whether a law can be cut at a tail tolerance, cutoff selection,
-the d-weighted series (cut where a built-in law's closed tail says, or by
-a streamed scan with divergence detection for an ``expr:`` law), and
-``geometric_state``, the paired state whose moments give the thermal
-series mean.
+the d-weighted series, and ``geometric_state``, the paired state whose
+moments give the thermal series mean.  The series is cut where a closed
+tail says for a built-in law and for an ``expr:`` law whose exponential-
+polynomial parts ``DeformationScheme.parts`` finds (its terms formed
+from the parts, never from d(n)), and by a streamed scan with divergence
+detection for any other ``expr:`` law.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .deformation import CUSTOM, DeformationScheme
 from .paired_state import PairedDiagonalState
@@ -32,6 +34,9 @@ __all__ = [
 
 _GROWTH_PATIENCE = 32
 _MAX_TERMS = 200_000
+# Largest sum_j |c_j| Li_{-k_j}(x_j) over |S| at which an expr: law's
+# parts are summed: past it they cancel, and the law takes the scan.
+_CANCELLATION = 1e6
 
 
 class DivergenceError(ArithmeticError):
@@ -201,7 +206,8 @@ def _weighted_terms(
     1. smaller than the last (so the last was > 0): the common case after
        the rising front, and the only one that can stop the scan.  A zero
        starts a run of zeros; any other term is tested against the limit
-       tol * max(1, |running|), formed without builtin calls;
+       tol * |running|, formed without builtin calls, which no term passes
+       while the running sum is 0;
     2. at least the last, which was > 0: one more step of growth;
     3. anything else (the last was 0, or a NaN is involved): a NaN term
        raises DivergenceError naming n, and a zero at n >= 1 extends the
@@ -230,7 +236,7 @@ def _weighted_terms(
             if mag == 0.0:
                 zero_run = 1
             else:
-                limit = tol * (running if running > 1.0 else -running if running < -1.0 else 1.0)
+                limit = tol * (running if running > 0.0 else -running)
                 if mag < limit:
                     rho = mag / prev_mag
                     if mag * rho / (1.0 - rho) < limit:
@@ -299,9 +305,7 @@ def _closed_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
 def _closed_count(scheme: DeformationScheme, ratio: float, tol: float, extra: int) -> int | None:
     """N + 1 for a built-in law, with d(0..N + extra) in its column; None,
     for the adaptive scan, for an ``expr:`` law or a column that overflows
-    first.  A ratio outside [0, 1) is a ValueError first."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    first.  The ratio is one that ``_parts_count`` has checked."""
     if scheme.kind == CUSTOM:
         return None
     count = _closed_cutoff(scheme, ratio, tol) + 1
@@ -310,6 +314,137 @@ def _closed_count(scheme: DeformationScheme, ratio: float, tol: float, extra: in
     except OverflowError:
         return None
     return count
+
+
+def _parts_count(scheme: DeformationScheme, ratio: float, tol: float):
+    """(N + 1, [(c, k, x), ...]) with x = b ratio for the parts of an
+    ``expr:`` law that ``DeformationScheme.parts`` recognizes; None, for
+    the adaptive scan, for any other law and for parts that cancel beyond
+    _CANCELLATION.
+
+    The verdict: divergent iff some part has x >= 1.  The sum is
+    S = sum_j c_j G_k_j(x_j), and N is the smallest index whose closed tail
+    bound sum_j |c_j| sum_{n>N} n^k_j x_j^n is at most tol |S|.  Each tail
+    is x^(N+1) sum_i C(k, i) (N + 1)^(k-i) G_i(x); with x* the largest x,
+    the bound is x*^N F(N).  N comes from the fixed point of its logarithm
+    over the parts at x*, as in ``_closed_cutoff``, then from doubling
+    steps and a bisection if the other parts still weigh.  ValueError for
+    a ratio outside [0, 1) or a tol outside (0, 1); DivergenceError for
+    the verdict or an N past the term cap.
+    """
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
+    parts = scheme.parts
+    if parts is None:
+        return None
+    GeometricLaw._check_tail_tol(tol)
+    # S is summed exactly from c_j Li_{-k_j}(x_j) and the n = 0 terms c_j of
+    # the parts with k_j = 0.  G_i = sum_{n>=0} n^i x^n: G_0 = 1/(1 - x) and
+    # G_i = x/(1 - x) sum_{j<i} C(i, j) G_j, a sum of positive terms, which
+    # for i >= 1 is Li_{-i}(x) = x A_i(x)/(1 - x)^(i+1), A_i the Eulerian
+    # polynomial.  F(n) = sum_j |c_j| x_j (x_j / x*)^n P_j(n + 1), with
+    # P(m) = sum_i C(k, i) G_i m^(k-i), its weights highest power first.
+    found, pieces, weights, spread, peak = [], [], [], 0.0, 0.0
+    for c, k, b in parts:
+        x = b * ratio
+        if x >= 1.0:
+            raise DivergenceError(
+                f"series diverges: the part {c!r} n^{k} b^n has b * r = {x!r} >= 1", ratio=x
+            )
+        u = 1.0 / (1.0 - x)
+        if k == 0:
+            li, ws = x * u, [u]
+            pieces += (c * li, c)
+        else:
+            sums = [u]
+            for i in range(1, k + 1):
+                sums.append(x * u * sum([math.comb(i, j) * sums[j] for j in range(i)]))
+            li, ws = sums[k], [math.comb(k, i) * g for i, g in enumerate(sums)]
+            pieces.append(c * li)
+        spread += abs(c) * li
+        weights.append((abs(c) * x, x, ws))
+        found.append((c, k, x))
+        if x > peak:
+            peak = x
+    if peak == 0.0:  # only the n = 0 term is not 0
+        return 1, found
+    try:
+        total = abs(math.fsum(pieces))
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+        return None
+    if not 0.0 < total < math.inf or not spread <= _CANCELLATION * total:
+        return None
+    ln_x, target = math.log(peak), math.log(tol) + math.log(total)
+
+    def excess(n: int) -> tuple[float, float]:
+        """ln of the tail bound past n over its limit tol |S|: of the parts
+        at x* alone, whose F does not fall with n, and of all parts."""
+        m, top, rest = n + 1, 0.0, 0.0
+        for a, x, ws in weights:
+            p = 0.0
+            for w in ws:
+                p = p * m + w
+            if x == peak:
+                top += a * p
+            else:
+                rest += a * (x / peak) ** n * p
+        base = n * ln_x - target
+        return (
+            base + math.log(top) if top > 0.0 else -math.inf,
+            base + math.log(top + rest) if top + rest > 0.0 else -math.inf,
+        )
+
+    # The fixed point of the parts at x* climbs to their own smallest index
+    # without passing it, and N is at least that index; it is N where all
+    # parts' bound holds too, else N lies above, by doubling steps and a
+    # bisection.
+    n = 0
+    while True:
+        top, every = excess(n)
+        if every <= 0.0:
+            return n + 1, found
+        if n >= _MAX_TERMS - 1:
+            raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
+        if top <= 0.0:
+            break
+        step = min(top / -ln_x, _MAX_TERMS)  # top may be inf
+        n = min(_MAX_TERMS - 1, n + max(1, math.ceil(step)))
+    last, step = n, 1  # the bound exceeds its limit at last
+    while excess(n := min(_MAX_TERMS - 1, last + step))[1] > 0.0:
+        if n >= _MAX_TERMS - 1:
+            raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
+        last, step = n, 2 * step
+    while n - last > 1:
+        mid = (last + n) // 2
+        last, n = (last, mid) if excess(mid)[1] <= 0.0 else (mid, n)
+    return n + 1, found
+
+
+def _checked_sum(terms: Callable[[], Iterable[float]], count: int) -> float:
+    """math.fsum of the terms of one series, as ``terms()`` makes them;
+    DivergenceError naming n when a term (term i is index i mod count) or
+    the sum is not finite, from the terms made once more."""
+    try:
+        total = math.fsum(terms())
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        bad = [i % count for i, term in enumerate(terms()) if not math.isfinite(term)]
+        where = f"term is not finite at n={bad[0]}" if bad else f"sum overflowed by n={count - 1}"
+        raise DivergenceError("series " + where)
+    return total
+
+
+def _part_terms(found, count: int, prefactor: float) -> Iterator[float]:
+    """c prefactor n^k x^n for n < count, part after part: x^n by one product
+    per step, then k products by n."""
+    parts = []
+    for c, k, x in found:
+        part = accumulate(repeat(x, count - 1), mul, initial=c * prefactor)
+        for _ in range(k):
+            part = map(mul, range(count), part)
+        parts.append(part)
+    return chain.from_iterable(parts)
 
 
 def weighted_series(
@@ -321,31 +456,39 @@ def weighted_series(
     """Sum of d(n) * prefactor * ratio^n.
 
     A built-in law sums n = 0..N, N from its closed tail at relative
-    tolerance tol, in one ``math.fsum``; a term that is not finite raises
-    DivergenceError naming n.  An ``expr:`` law, or a built-in one whose
-    d(n) overflows by n = N, takes the adaptive scan.
+    tolerance tol, in one ``math.fsum``.  An ``expr:`` law whose parts
+    ``_parts_count`` takes sums each part c n^k x^n over n = 0..N, N from
+    the parts' closed tail, all in one ``math.fsum``, without a value of
+    d(n).  A term that is not finite raises DivergenceError naming n.  Any
+    other ``expr:`` law, or a built-in one whose d(n) overflows by n = N,
+    takes the adaptive scan.
     """
+    exact = _parts_count(scheme, ratio, tol)
+    if exact is not None:
+        count, found = exact
+        return _checked_sum(lambda: _part_terms(found, count, prefactor), count)
     count = _closed_count(scheme, ratio, tol, 0)
     if count is None:
         return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
     # d[n] * prefactor * ratio**n for n < count, each term formed in C.
-    powers = map(pow, repeat(ratio), range(count))
-    terms = list(map(mul, map(mul, scheme.d_values(0), repeat(prefactor, count)), powers))
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
-        total = math.inf
-    if not math.isfinite(total):
-        bad = [n for n, term in enumerate(terms) if not math.isfinite(term)]
-        where = f"term is not finite at n={bad[0]}" if bad else f"sum overflowed by n={count - 1}"
-        raise DivergenceError("series " + where)
-    return total
+    d = scheme.d_values(0)
+
+    def terms() -> Iterator[float]:
+        powers = map(pow, repeat(ratio), range(count))
+        return map(mul, map(mul, d, repeat(prefactor, count)), powers)
+
+    return _checked_sum(terms, count)
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     """Index beyond which d-weighted geometric terms are negligible: for a
     built-in law the closed-form N, with d(N + 1) in the column for the
-    state cut there, found without forming a term; else the scan's last."""
+    state cut there, found without forming a term; for an ``expr:`` law
+    that ``weighted_series`` sums from its parts, their closed N; else the
+    scan's last."""
+    exact = _parts_count(scheme, ratio, tol)
+    if exact is not None:
+        return exact[0] - 1
     count = _closed_count(scheme, ratio, tol, 1)
     if count is None:
         return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)

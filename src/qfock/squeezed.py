@@ -66,7 +66,8 @@ def nbar_series(spec: SqueezedSpec) -> float:
 
     A built-in scheme sums to the N whose closed tail is at most tail_tol
     of the mean, and raises DivergenceError exactly when
-    max(q, 1/q) tanh^2 xi >= 1; an ``expr:`` law is summed adaptively.
+    max(q, 1/q) tanh^2 xi >= 1; an ``expr:`` law is summed from its
+    parts where it has them, else adaptively.
     """
     law = spec.law
     return weighted_series(spec.scheme, law.r, spec.tail_tol, law.one_minus_r)

@@ -67,7 +67,8 @@ def thermal_nbar_series(spec: ThermalSpec) -> float:
 
     Builds the geometric paired state at the cutoff of ``weighted_cutoff``
     and reads off <a+ a>.  A built-in scheme raises DivergenceError exactly
-    when theta <= |ln q|; an ``expr:`` law is scanned adaptively.
+    when theta <= |ln q|; an ``expr:`` law is cut where the closed tail of
+    its parts says, or where the adaptive scan stops if it has none.
     """
     state = geometric_state(spec.scheme, spec.law.r, spec.tail_tol)
     return moments(state, spec.scheme).adag_a

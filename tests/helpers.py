@@ -204,7 +204,7 @@ def reference_weighted_scan(scheme, ratio, tol, prefactor):
         else:
             growth_run = 0
         if n >= 1:
-            scale = max(1.0, abs(running))
+            scale = abs(running)
             if mag == 0.0:
                 zero_run += 1
                 if zero_run >= 4:

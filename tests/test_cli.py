@@ -593,9 +593,10 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["parse", "n*1e308", "--q", "2", "--n", "10"],
             "error: non-finite value inf at q=2.0, n=10.0",
         ),
+        # thermal's moments read d(n) itself, past where q^n overflows
         (
-            ["sweep", "squeezed", "--scheme", "expr:(q^n - q^(-n))/(q - q^(-1))"]
-            + ["--q", "2", "--xi", "0.87"],
+            ["sweep", "thermal", "--scheme", "expr:(q^n - q^(-n))/(q - q^(-1))"]
+            + ["--q", "2", "--theta", "0.71"],
             "error: overflow at q=2.0, n=1024.0",
         ),
         # e^(2 xi) overflows at 355; at 400 cosh(xi)^2 does too
@@ -630,6 +631,44 @@ def test_parse_error_has_position_and_exit_one(capsys):
 def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):
     assert main(argv) == 1
     _assert_one_error_line(capsys.readouterr(), line)
+
+
+BM_TEXT = "expr:(q^n - q^(-n))/(q - q^(-1))"
+SINH_TEXT = "expr:sinh(n*ln(q))/sinh(ln(q))"
+QUADRATIC_TEXT = "expr:n + (q - 1)*n*(n - 1)/2"
+
+
+@pytest.mark.parametrize(
+    "family, scheme, q, param",
+    [
+        # a mean above 32 that the scan's growth rule called divergent
+        pytest.param("thermal", "expr:n", 1.0, 0.02, id="thermal-n"),
+        # the scan stopped at the near-zero d(9) where the law changes sign
+        pytest.param("squeezed", QUADRATIC_TEXT, 0.7499, 0.3, id="squeezed-quadratic"),
+        # a mean of 2e-9 that the scan's absolute limit cut short (the sinh
+        # of a subtree in n takes the scan)
+        pytest.param("thermal", SINH_TEXT, 1e-5, 20.0, id="thermal-sinh"),
+        # the parts are summed without q^n, which overflowed at n = 1024
+        pytest.param("squeezed", BM_TEXT, 2.0, 0.87, id="squeezed-bm-text"),
+    ],
+)
+def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q, param):
+    mpmath = pytest.importorskip("mpmath")
+    flag = "--xi" if family == "squeezed" else "--theta"
+    argv = ["sweep", family, "--scheme", scheme, "--q", repr(q), flag, repr(param)]
+    assert main(argv + ["--format", "json"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["status"].startswith("convergent")
+    with mpmath.workdps(40):
+        x, mq = mpmath.mpf(param), mpmath.mpf(q)
+        r = mpmath.tanh(x) ** 2 if family == "squeezed" else mpmath.exp(-x)
+        if scheme == "expr:n":
+            want = r / (1 - r)
+        elif scheme == QUADRATIC_TEXT:
+            want = r / (1 - r) + (mq - 1) * r**2 / (1 - r) ** 2
+        else:
+            want = r * (1 - r) / ((1 - mq * r) * (1 - r / mq))
+        assert abs(row["nbar_series"] - want) <= 1e-10 * abs(want)
 
 
 def test_built_in_value_past_sinh_range_is_not_an_overflow(capsys):

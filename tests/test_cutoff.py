@@ -18,7 +18,7 @@ from qfock import DeformationScheme, DivergenceError, ThermalSpec, thermal_nbar_
 from qfock.geometric import probability_cutoff, weighted_cutoff, weighted_series
 from qfock.squeezed import SqueezedSpec, nbar_series
 
-from helpers import reference_closed_cutoff, reference_closed_scan
+from helpers import reference_closed_cutoff, reference_closed_scan, reference_weighted_scan
 
 TOLS = (1e-12, 1e-8, 1e-3, 0.5)
 CAP = 200_000
@@ -239,3 +239,66 @@ def test_finite_terms_whose_sum_overflows_are_a_divergence():
     assert weighted_cutoff(scheme, 0.95, 0.99) == 3
     with pytest.raises(DivergenceError, match=r"^series sum overflowed by n=3$"):
         weighted_series(scheme, 0.95, 0.99, 5e307)
+
+
+BM_TEXT = "(q^n - q^(-n))/(q - q^(-1))"
+# expr: laws that weighted_series sums from their parts: (law, q)
+PARTS_LAWS = {
+    "quadratic-1.5": ("n + (q - 1)*n*(n - 1)/2", 1.5),
+    "quadratic-0.7499": ("n + (q - 1)*n*(n - 1)/2", 0.7499),  # changes sign at n = 9
+    "n^2": ("n^2", 1.0),
+    "bm-text-1.3": (BM_TEXT, 1.3),
+    "bm-text-0.6": (BM_TEXT, 0.6),
+    "bounded": ("2*(1 - 0.5^n)", 1.0),
+}
+
+
+@pytest.mark.parametrize("name", PARTS_LAWS)
+def test_parts_stop_is_minimal_and_sums_the_parts(name):
+    # Against the parts' own sums at 50 digits: S = sum_j c_j sum_n n^k b^n r^n,
+    # and the tail bound past m, sum_j |c_j| sum_{n>m} n^k (b r)^n, summed
+    # term by term.  N is the smallest m whose bound is at most tol |S|.
+    mpmath = pytest.importorskip("mpmath")
+    scheme = DeformationScheme.custom(*PARTS_LAWS[name])
+    tol = 1e-12
+    peak = max(b for _, _, b in scheme.parts)
+    for s in (0.05, 0.3, 0.5, 0.7):  # max(b) r
+        ratio = s / peak
+        n = weighted_cutoff(scheme, ratio, tol)
+        with mpmath.workdps(50):
+            parts = [(mpmath.mpf(c), k, mpmath.mpf(b) * ratio) for c, k, b in scheme.parts]
+            total = sum(c * (mpmath.polylog(-k, x) + (k == 0)) for c, k, x in parts)
+            # every part's tail past m, for m = n - 1 and n
+            tails = [
+                sum(
+                    abs(c) * (mpmath.polylog(-k, x) - sum(j**k * x**j for j in range(1, m + 1)))
+                    for c, k, x in parts
+                )
+                for m in (n - 1, n)
+            ]
+            limit = tol * abs(total)
+        assert tails[1] <= limit * (1 + 1e-9), ratio
+        assert n == 0 or tails[0] > limit * (1 - 1e-9), ratio
+        mean, want = weighted_series(scheme, ratio, tol, 1.0 - ratio), float((1 - ratio) * total)
+        assert abs(mean - want) <= 2e-12 * abs(want), ratio
+
+
+def test_parts_verdict_names_the_part_that_diverges():
+    scheme = DeformationScheme.custom(BM_TEXT, 2.0)
+    message = r"^series diverges: the part 0\.6666666666666666 n\^0 b\^n has b \* r = 1\.2 >= 1$"
+    with pytest.raises(DivergenceError, match=message) as info:
+        weighted_series(scheme, 0.6, 1e-12, 0.4)
+    assert info.value.ratio == 1.2
+    with pytest.raises(DivergenceError, match=message):
+        weighted_cutoff(scheme, 0.6, 1e-12)
+    assert scheme.d_values(0) == []  # no d(n) was asked for
+
+
+def test_parts_that_cancel_take_the_scan():
+    # Near q = 1 the symmetric law's two parts are +-1/(q - 1/q), about 5e8:
+    # they cancel beyond 1e6 of the sum, so the scan sums the law.
+    scheme = DeformationScheme.custom(BM_TEXT, 1.0 + 1e-9)
+    assert scheme.parts is not None
+    want = reference_weighted_scan(DeformationScheme.custom(BM_TEXT, 1.0 + 1e-9), 0.5, 1e-12, 0.5)
+    assert weighted_series(scheme, 0.5, 1e-12, 0.5) == want[0]
+    assert weighted_cutoff(scheme, 0.5, 1e-12) == want[1]

@@ -1,6 +1,7 @@
 """Parser and evaluator tests for deformation expressions."""
 
 import gc
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from qfock.expressions import (
     Number,
     Variable,
     evaluate_tree,
+    exponential_parts,
     parse_deformation,
     render,
 )
@@ -184,6 +186,193 @@ _TREES = st.recursive(
 def test_compiled_matches_tree_walk_on_random_trees(tree, q, n):
     got = _outcome(lambda: evaluate_tree(tree, q, n))
     assert got == _outcome(lambda: reference_evaluate_tree(tree, q, n))
+
+
+# (law, q, its parts as exponential_parts gives them, or None)
+PARTS_CASES = [
+    ("n", 1.0, ((1.0, 1, 1.0),)),
+    ("n^2", 1.0, ((1.0, 2, 1.0),)),
+    ("n + (q - 1)*n*(n - 1)/2", 1.5, ((0.75, 1, 1.0), (0.25, 2, 1.0))),
+    (BM_TEXT, 2.0, ((2.0 / 3.0, 0, 2.0), (-2.0 / 3.0, 0, 0.5))),
+    ("2*(1 - 0.5^n)", 1.0, ((2.0, 0, 1.0), (-2.0, 0, 0.5))),
+    ("(exp(n) - 1)/(exp(1) - 1)", 1.0, ((1 / (math.e - 1), 0, math.e), (1 / (1 - math.e), 0, 1.0))),
+    ("exp(2*n*ln(q) + 1)", 3.0, ((math.e, 0, math.exp(2.0 * math.log(3.0))),)),
+    ("n*sinh(q)/sinh(q)", 2.0, ((1.0, 1, 1.0),)),
+    ("n^8", 1.0, ((1.0, 8, 1.0),)),
+    # outside the class: a function, a divisor or an exponent in n, or bounds
+    ("sinh(n*ln(q))/sinh(ln(q))", 2.0, None),
+    ("2*n/(3 - n)", 1.0, None),
+    ("n^n", 1.0, None),
+    ("n^0.5", 1.0, None),
+    ("n^9", 1.0, None),
+    ("exp(n^2)", 1.0, None),
+    ("exp(q^n)", 2.0, None),
+    ("q^(n*q^n)", 2.0, None),
+    ("(-2)^n", 1.0, None),
+    ("n + 0*ln(2 + n)", 1.0, None),
+    (" + ".join(f"{b}^n" for b in range(2, 19)), 1.0, None),  # 17 parts
+]
+
+
+@pytest.mark.parametrize("source, q, parts", PARTS_CASES)
+def test_exponential_parts_of_a_law(source, q, parts):
+    assert exponential_parts(parse_deformation(source), q) == parts
+
+
+def _has_n(node):
+    if isinstance(node, Variable):
+        return node.name == "n"
+    if isinstance(node, Number):
+        return False
+    if isinstance(node, (Negate, FunctionCall)):
+        return _has_n(node.operand if isinstance(node, Negate) else node.argument)
+    return _has_n(node.left) or _has_n(node.right)
+
+
+def _integer_power(node, q):
+    """The n-free exponent's value if it is an integer 0..8, else None."""
+    try:
+        value = reference_evaluate_tree(node, q, 0.0)
+    except (EvaluationError, KeyError):
+        return None
+    return int(value) if value == int(value) and 0 <= value <= 8 else None
+
+
+def _degree(node, q):
+    """The written degree in n: n^m counts m, and exp or a power with n in
+    its exponent counts 0."""
+    if not _has_n(node):
+        return 0
+    if isinstance(node, Variable):
+        return 1
+    if isinstance(node, Negate):
+        return _degree(node.operand, q)
+    if isinstance(node, FunctionCall):
+        return 0
+    if node.op in "+-":
+        return max(_degree(node.left, q), _degree(node.right, q))
+    if node.op == "*":
+        return _degree(node.left, q) + _degree(node.right, q)
+    if node.op == "/":
+        return _degree(node.left, q)
+    if _has_n(node.left):
+        return _degree(node.left, q) * (_integer_power(node.right, q) or 0)
+    return 0
+
+
+def _outside(node, q):
+    """True when the tree holds a construct that no finite exponential
+    polynomial in n is written with: a function other than exp of n, a
+    divisor in n, n in both base and exponent, a base in n raised to
+    anything but an integer 0..8, n in the exponent of a base that is not
+    positive, or an exponent of written degree 2 or more."""
+    if isinstance(node, (Number, Variable)):
+        return False
+    if isinstance(node, Negate):
+        return _outside(node.operand, q)
+    if isinstance(node, FunctionCall):
+        if _has_n(node.argument) and (node.name != "exp" or _degree(node.argument, q) > 1):
+            return True
+        return _outside(node.argument, q)
+    if _outside(node.left, q) or _outside(node.right, q):
+        return True
+    if node.op == "/":
+        return _has_n(node.right)
+    if node.op != "^" or not _has_n(node):
+        return False
+    if _has_n(node.left):
+        return _has_n(node.right) or _integer_power(node.right, q) is None
+    try:
+        base = reference_evaluate_tree(node.left, q, 0.0)
+    except (EvaluationError, KeyError):
+        return True
+    return not base > 0.0 or _degree(node.right, q) > 1
+
+
+def _magnitude(node, q, n):
+    """A bound on the values either evaluation rounds, at (q, n): each sum
+    and product taken over magnitudes, and an exponential's value times
+    the magnitude of its exponent and n, by which its rounding grows."""
+    if not _has_n(node):
+        return abs(reference_evaluate_tree(node, q, n))
+    if isinstance(node, Variable):
+        return n
+    if isinstance(node, Negate):
+        return _magnitude(node.operand, q, n)
+    value = abs(reference_evaluate_tree(node, q, n))
+    if isinstance(node, FunctionCall):  # exp
+        return value * (2 + n + _magnitude(node.argument, q, n))
+    left = _magnitude(node.left, q, n)
+    if node.op in "+-":
+        return left + _magnitude(node.right, q, n)
+    if node.op == "*":
+        return left * _magnitude(node.right, q, n)
+    if node.op == "/":
+        return left / abs(reference_evaluate_tree(node.right, q, n))
+    if _has_n(node.left):
+        return left ** _integer_power(node.right, q)
+    base = abs(math.log(reference_evaluate_tree(node.left, q, n)))
+    return value * (2 + n + base * _magnitude(node.right, q, n))
+
+
+def _size(node):
+    if isinstance(node, (Number, Variable)):
+        return 1
+    if isinstance(node, (Negate, FunctionCall)):
+        return 1 + _size(node.operand if isinstance(node, Negate) else node.argument)
+    return 1 + _size(node.left) + _size(node.right)
+
+
+# Trees written mostly with the class's own constructs, and their misuse:
+# n-free subtrees, powers of n-free bases and exps with random exponents,
+# and small integer powers.
+_FREE = st.recursive(
+    st.one_of(st.just(Variable("q")), st.builds(Number, st.floats(-3.0, 3.0))),
+    lambda children: st.one_of(
+        st.builds(Negate, children),
+        st.builds(BinaryOp, st.sampled_from(list("+-*/")), children, children),
+        st.builds(FunctionCall, st.sampled_from(sorted(FUNCTIONS)), children),
+    ),
+    max_leaves=3,
+)
+_INTEGER = st.integers(0, 3).map(lambda k: Number(float(k)))
+_CLASS_TREES = st.recursive(
+    st.one_of(_FREE, st.just(Variable("n"))),
+    lambda children: st.one_of(
+        st.builds(Negate, children),
+        st.builds(BinaryOp, st.sampled_from(list("+-*")), children, children),
+        st.builds(BinaryOp, st.just("/"), children, _FREE),
+        st.builds(BinaryOp, st.just("^"), children, _INTEGER),
+        st.builds(BinaryOp, st.just("^"), _FREE, children),
+        st.builds(FunctionCall, st.just("exp"), children),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tree=st.one_of(_TREES, _CLASS_TREES),
+    q=st.floats(min_value=1e-3, max_value=1e3),
+    ns=st.lists(st.integers(0, 40), max_size=4),
+)
+def test_exponential_parts_on_random_trees(tree, q, ns):
+    """None for every tree outside the class; for a recognized tree, the
+    parts' value equals the compiled law's within a few ulps, per node of
+    the tree, of the magnitudes either side rounds."""
+    parts = exponential_parts(tree, q)
+    if _outside(tree, q):
+        assert parts is None
+    if parts is None:
+        return
+    for n in map(float, ns):
+        try:
+            want = evaluate_tree(tree, q, n)
+            scale = _magnitude(tree, q, n)
+        except (EvaluationError, OverflowError):
+            continue  # the law, or a bound on its rounding, is out of range
+        got = math.fsum(c * n**k * b**n for c, k, b in parts)
+        assert abs(got - want) <= 4 * _size(tree) * 2.0**-52 * scale, (n, got, want)
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ MATRIX_CALLS = [["verify", "--dims", "4"]] + [
 ]
 
 # SHA-256 of the SWEEP_CALLS stdout, each call's exit line after its output.
-SWEEP_SHA256 = "8542509854586f5eabe1603fe358ff4696a263f715a26fd098c258fbc15b157c"
+SWEEP_SHA256 = "2e040c74f807f1485064fdc1e8430fa12aadcb88cf2308c99d4a0fdb68849e0b"
 
 MATRIX_OUTPUT = """\
 scheme=undeformed q=1.0 dim=4
