@@ -19,8 +19,10 @@ parameter-minor) and shortest round-trip number formatting, so repeated
 runs are byte-identical.  Rows in divergent corners of a grid are flagged
 in the status column instead of aborting the batch.  These cells still
 abort it with exit 1: a d(n) overflow (``sweep thermal --scheme bm --q 2
---theta 0.71``), an ``expr:`` law rejected at one q, a ratio that rounds
-to 1 (``--xi 20``, ``--theta 1e-17``) and |xi| > 354.89.
+--theta 0.71``, ``sweep squeezed --scheme bm --q 2 --xi 0.87``), variances
+that overflow (``sweep squeezed --scheme "expr:n + 1e307*n*(n - 1)" --xi
+0.03``), an ``expr:`` law rejected at one q, a ratio that rounds to 1
+(``--xi 20``, ``--theta 1e-17``) and |xi| > 354.89.
 """
 
 from __future__ import annotations

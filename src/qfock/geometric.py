@@ -11,8 +11,9 @@ the d-weighted series, and ``geometric_state``, the paired state whose
 moments give the thermal series mean.  The series is cut where a closed
 tail says for a built-in law and for an ``expr:`` law whose exponential-
 polynomial parts ``DeformationScheme.parts`` finds (its terms formed
-from the parts, never from d(n)), and by a streamed scan with divergence
-detection for any other ``expr:`` law.
+from the parts, never from d(n)).  A streamed scan with divergence
+detection is the fallback: for an ``expr:`` law without parts, and for a
+built-in law whose d(n) overflows before its closed cutoff.
 """
 
 from __future__ import annotations
@@ -152,7 +153,10 @@ class GeometricLaw(NamedTuple):
         a_adag = nbar / self.r
         var1 = 0.25 * a_adag * (1.0 + self.sqrt_r) ** 2
         var2 = 0.25 * a_adag * self.one_minus_sqrt_r**2
-        product = (0.25 * a_adag * self.one_minus_r) ** 2
+        try:
+            product = (0.25 * a_adag * self.one_minus_r) ** 2
+        except OverflowError:  # a float ** raises where * would read inf
+            product = math.inf
         if not (math.isfinite(var1) and math.isfinite(var2) and math.isfinite(product)):
             raise OverflowError(f"variance formulas overflowed at r={self.r!r}")
         return var1, var2, product
@@ -190,40 +194,23 @@ def _weighted_terms(
     prefactor: float,
 ) -> Iterator[float]:
     """Yield d(n) * prefactor * ratio^n for n = 0, 1, ... up to the last term
-    the series needs; nothing at ratio 0.  The sum of an ``expr:`` law, and
-    of a built-in one whose d(n) overflows before its closed cutoff.
+    the series needs; nothing at ratio 0.
 
-    Terms are yielded until both the current term and the estimated
-    geometric tail drop below tol relative to the running magnitude.  A term
-    magnitude that fails to decrease over 32 consecutive steps is reported
-    as divergence (this catches growth ratios >= 1 without any scheme-
-    specific analysis, so custom laws are handled uniformly).  d(n) is read
-    from the scheme's column, grown one value at a time, so the scan never
-    evaluates a d(n) past the index it stops at.  No term is stored.
-
-    Each term takes the first of three branches that holds:
-
-    1. smaller than the last (so the last was > 0): the common case after
-       the rising front, and the only one that can stop the scan.  A zero
-       starts a run of zeros; any other term is tested against the limit
-       tol * |running|, formed without builtin calls, which no term passes
-       while the running sum is 0;
-    2. at least the last, which was > 0: one more step of growth;
-    3. anything else (the last was 0, or a NaN is involved): a NaN term
-       raises DivergenceError naming n, and a zero at n >= 1 extends the
-       run of zeros, which ends the scan at four.
-
-    The stop rule is the same in every case as when all three tests ran on
-    every term: the branches only order them.
+    The scan stops once both the current term and the estimated geometric
+    tail drop below tol relative to the running magnitude, or at the fourth
+    zero term in a row at n >= 1.  It raises DivergenceError for a NaN
+    term, naming n, and for a term magnitude that fails to decrease over 32
+    consecutive steps (growth ratios >= 1 caught without any scheme-
+    specific analysis).  d(n) is read from the scheme's column, grown one
+    value at a time, so no d(n) past the stop is evaluated.  No term is
+    stored.
     """
     if ratio == 0.0:
         return
     d = scheme.d_values(0)
     known = len(d)
-    running = 0.0
-    prev_mag = 0.0
-    growth_run = 0
-    zero_run = 0  # always 0 while prev_mag > 0
+    running = prev_mag = 0.0
+    growth_run = zero_run = 0
     for n in range(_MAX_TERMS):
         if n >= known:
             known = len(scheme.d_values(n + 1))
@@ -231,17 +218,9 @@ def _weighted_terms(
         yield t
         running += t
         mag = abs(t)
-        if mag < prev_mag:
-            growth_run = 0
-            if mag == 0.0:
-                zero_run = 1
-            else:
-                limit = tol * (running if running > 0.0 else -running)
-                if mag < limit:
-                    rho = mag / prev_mag
-                    if mag * rho / (1.0 - rho) < limit:
-                        return
-        elif mag >= prev_mag > 0.0:
+        if mag != mag:
+            raise DivergenceError(f"series term is NaN at n={n}")
+        if mag >= prev_mag > 0.0:
             growth_run += 1
             if growth_run >= _GROWTH_PATIENCE:
                 rho = mag / prev_mag
@@ -252,13 +231,17 @@ def _weighted_terms(
                 )
         else:
             growth_run = 0
-            if mag != mag:  # a NaN term
-                raise DivergenceError(f"series term is NaN at n={n}")
-            if mag != 0.0:
-                zero_run = 0
-            elif n >= 1:
+        if mag == 0.0:
+            if n >= 1:
                 zero_run += 1
                 if zero_run >= 4:  # law vanished or ratio^n underflowed
+                    return
+        else:
+            zero_run = 0
+            limit = tol * abs(running)
+            if mag < prev_mag and mag < limit:
+                rho = mag / prev_mag
+                if mag * rho / (1.0 - rho) < limit:
                     return
         prev_mag = mag
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
@@ -302,25 +285,10 @@ def _closed_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     return n
 
 
-def _closed_count(scheme: DeformationScheme, ratio: float, tol: float, extra: int) -> int | None:
-    """N + 1 for a built-in law, with d(0..N + extra) in its column; None,
-    for the adaptive scan, for an ``expr:`` law or a column that overflows
-    first.  The ratio is one that ``_parts_count`` has checked."""
-    if scheme.kind == CUSTOM:
-        return None
-    count = _closed_cutoff(scheme, ratio, tol) + 1
-    try:
-        scheme.d_values(count + extra)
-    except OverflowError:
-        return None
-    return count
-
-
 def _parts_count(scheme: DeformationScheme, ratio: float, tol: float):
     """(N + 1, [(c, k, x), ...]) with x = b ratio for the parts of an
-    ``expr:`` law that ``DeformationScheme.parts`` recognizes; None, for
-    the adaptive scan, for any other law and for parts that cancel beyond
-    _CANCELLATION.
+    ``expr:`` law that ``DeformationScheme.parts`` recognizes; None for any
+    other law and for parts that cancel beyond _CANCELLATION.
 
     The verdict: divergent iff some part has x >= 1.  The sum is
     S = sum_j c_j G_k_j(x_j), and N is the smallest index whose closed tail
@@ -447,52 +415,58 @@ def _part_terms(found, count: int, prefactor: float) -> Iterator[float]:
     return chain.from_iterable(parts)
 
 
+def _closed_route(scheme: DeformationScheme, ratio: float, tol: float, extra: int):
+    """(N + 1, terms) for a series cut at a closed N, ``terms(prefactor)``
+    making its terms for n = 0..N; None for the adaptive scan.  An ``expr:``
+    law that ``_parts_count`` takes forms them from its parts, without d(n);
+    a built-in law reads N from ``_closed_cutoff`` and d(n) from its column,
+    filled to d(N + extra) unless a value overflows first.
+    """
+    exact = _parts_count(scheme, ratio, tol)
+    if exact is not None:
+        count, found = exact
+        return count, lambda prefactor: _part_terms(found, count, prefactor)
+    if scheme.kind == CUSTOM:
+        GeometricLaw._check_tail_tol(tol)  # the scan itself does not check it
+        return None
+    count = _closed_cutoff(scheme, ratio, tol) + 1
+    try:
+        d = scheme.d_values(count + extra)
+    except OverflowError:
+        return None
+
+    def terms(prefactor: float) -> Iterator[float]:  # each term formed in C
+        powers = map(pow, repeat(ratio), range(count))
+        return map(mul, map(mul, d, repeat(prefactor, count)), powers)
+
+    return count, terms
+
+
 def weighted_series(
     scheme: DeformationScheme,
     ratio: float,
     tol: float,
     prefactor: float,
 ) -> float:
-    """Sum of d(n) * prefactor * ratio^n.
-
-    A built-in law sums n = 0..N, N from its closed tail at relative
-    tolerance tol, in one ``math.fsum``.  An ``expr:`` law whose parts
-    ``_parts_count`` takes sums each part c n^k x^n over n = 0..N, N from
-    the parts' closed tail, all in one ``math.fsum``, without a value of
-    d(n).  A term that is not finite raises DivergenceError naming n.  Any
-    other ``expr:`` law, or a built-in one whose d(n) overflows by n = N,
-    takes the adaptive scan.
-    """
-    exact = _parts_count(scheme, ratio, tol)
-    if exact is not None:
-        count, found = exact
-        return _checked_sum(lambda: _part_terms(found, count, prefactor), count)
-    count = _closed_count(scheme, ratio, tol, 0)
-    if count is None:
+    """Sum of d(n) * prefactor * ratio^n: the terms of ``_closed_route`` in
+    one ``math.fsum``, where a term that is not finite raises
+    DivergenceError naming n, else the adaptive scan's."""
+    route = _closed_route(scheme, ratio, tol, 0)
+    if route is None:
         return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
-    # d[n] * prefactor * ratio**n for n < count, each term formed in C.
-    d = scheme.d_values(0)
-
-    def terms() -> Iterator[float]:
-        powers = map(pow, repeat(ratio), range(count))
-        return map(mul, map(mul, d, repeat(prefactor, count)), powers)
-
-    return _checked_sum(terms, count)
+    count, terms = route
+    return _checked_sum(lambda: terms(prefactor), count)
 
 
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
-    """Index beyond which d-weighted geometric terms are negligible: for a
-    built-in law the closed-form N, with d(N + 1) in the column for the
-    state cut there, found without forming a term; for an ``expr:`` law
-    that ``weighted_series`` sums from its parts, their closed N; else the
-    scan's last."""
-    exact = _parts_count(scheme, ratio, tol)
-    if exact is not None:
-        return exact[0] - 1
-    count = _closed_count(scheme, ratio, tol, 1)
-    if count is None:
+    """Index beyond which d-weighted geometric terms are negligible: the N
+    of ``_closed_route``, found without forming a term (a built-in law's
+    column filled to d(N + 1) for the state cut there), else the scan's
+    last."""
+    route = _closed_route(scheme, ratio, tol, 1)
+    if route is None:
         return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)
-    return count - 1
+    return route[0] - 1
 
 
 def geometric_state(

@@ -626,6 +626,11 @@ def test_parse_error_has_position_and_exit_one(capsys):
             ["ops", "annihilation", "--scheme", "bm", "--q", "5e-324", "--dim", "3"],
             "error: deformation value overflowed at n=2 (q=5e-324)",
         ),
+        # the mean is finite, but (<a a+> (1 - r) / 4)^2 overflows
+        (
+            ["sweep", "squeezed", "--scheme", "expr:n + 1e307*n*(n - 1)", "--xi", "0.03"],
+            "error: variance formulas overflowed at r=0.0008994602752709204",
+        ),
     ],
 )
 def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):
@@ -636,6 +641,8 @@ def test_expression_value_out_of_range_is_one_error_line(capsys, argv, line):
 BM_TEXT = "expr:(q^n - q^(-n))/(q - q^(-1))"
 SINH_TEXT = "expr:sinh(n*ln(q))/sinh(ln(q))"
 QUADRATIC_TEXT = "expr:n + (q - 1)*n*(n - 1)/2"
+# the ln of a subtree in n leaves the law without parts
+SCAN_TEXT = "expr:n + 0*ln(2 + n)"
 
 
 @pytest.mark.parametrize(
@@ -650,6 +657,11 @@ QUADRATIC_TEXT = "expr:n + (q - 1)*n*(n - 1)/2"
         pytest.param("thermal", SINH_TEXT, 1e-5, 20.0, id="thermal-sinh"),
         # the parts are summed without q^n, which overflowed at n = 1024
         pytest.param("squeezed", BM_TEXT, 2.0, 0.87, id="squeezed-bm-text"),
+        # a law without parts, summed by the adaptive scan
+        pytest.param("thermal", SCAN_TEXT, 1.0, 0.5, id="thermal-scan-0.5"),
+        pytest.param("thermal", SCAN_TEXT, 1.0, 2.0, id="thermal-scan-2"),
+        pytest.param("squeezed", SCAN_TEXT, 1.0, 0.6, id="squeezed-scan-0.6"),
+        pytest.param("squeezed", SCAN_TEXT, 1.0, 1.5, id="squeezed-scan-1.5"),
     ],
 )
 def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q, param):
@@ -662,7 +674,7 @@ def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q
     with mpmath.workdps(40):
         x, mq = mpmath.mpf(param), mpmath.mpf(q)
         r = mpmath.tanh(x) ** 2 if family == "squeezed" else mpmath.exp(-x)
-        if scheme == "expr:n":
+        if scheme in ("expr:n", SCAN_TEXT):
             want = r / (1 - r)
         elif scheme == QUADRATIC_TEXT:
             want = r / (1 - r) + (mq - 1) * r**2 / (1 - r) ** 2

@@ -131,6 +131,17 @@ def test_closed_stop_rejects_a_tolerance_outside_the_unit_interval(tol):
         weighted_cutoff(SCHEMES["undeformed"](), 0.3, tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, 2.0, math.nan])
+def test_scan_rejects_a_tolerance_outside_the_unit_interval(tol):
+    # a law without parts takes the scan, whose stop rule reads tol as given
+    scheme = DeformationScheme.custom("n + 0*ln(2 + n)", 1.0)
+    message = re.escape(f"tail tolerance must lie in (0, 1), got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        weighted_series(scheme, 0.5, tol, 0.5)
+    with pytest.raises(ValueError, match=message):
+        weighted_cutoff(scheme, 0.5, tol)
+
+
 @pytest.mark.parametrize("name", BUILT_IN)
 def test_closed_stop_at_ratio_zero_is_an_empty_sum(name):
     for prefactor in (1.0, -0.5):

@@ -178,6 +178,14 @@ def test_variances_closed_overflow_raises():
         law.variances(1e300)
 
 
+def test_variances_product_overflow_names_the_ratio():
+    # var1 and var2 are finite, but the product's float ** raises by itself
+    law = GeometricLaw.from_theta(1.0)
+    message = re.escape(f"variance formulas overflowed at r={law.r!r}")
+    with pytest.raises(OverflowError, match=message):
+        law.variances(1e200)
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
 def test_variances_undeformed_forms(theta):
     nbar = undeformed_nbar_thermal(theta)
