@@ -14,19 +14,19 @@ n directly.  Where sinh(n lam) overflows, d(n) may still be finite (for at
 most one more n, when sinh(lam) > 1), so it is formed there as
 e^((n-1) lam) (1 - e^(-2 n lam)) / (1 - e^(-2 lam)).
 Arbitrary user-supplied laws in q and n are accepted as expression text;
-they are probed at n = 0 and n = 1 during construction, since everything
-downstream assumes d(0) = 0 and d(1) = 1.  Every value of such a law,
-probes included, comes from ``expressions.evaluate_tree``, which compiles
-the scheme's tree on the first call and keeps its law while the tree lives;
-schemes of one law text share one tree.
+they are probed at n = 0 and n = 1 during construction, through
+``eval_d``, since everything downstream assumes d(0) = 0 and d(1) = 1.
+Schemes of one law text share one tree.
 
 Each scheme instance carries its own column d(0), d(1), ..., filled on
 demand and shared by everything that reads the scheme, so a sweep that
-resolves one scheme per q evaluates each d(n) of that column once.  A
-built-in law has one evaluator, the one-pass sinh band of ``_block``: the
-column asks it for every value it adds, one or many, and ``eval_d`` asks
-it for one.  A band that is not finite, and every value of a custom law,
-goes to ``eval_d`` one value at a time, so every failure is raised there.
+resolves one scheme per q evaluates each d(n) of that column once.  The
+column asks ``_block`` for every band of values it adds: for a built-in
+law the one-pass sinh band, its only evaluator, and for a custom law one
+walk of its tree over the band (``expressions.evaluate_band``).  A band
+that fails goes to ``eval_d`` one value at a time, so every failure is
+raised there, naming the first n that fails; ``eval_d`` reads one value
+as a built-in band of one, or as ``expressions.evaluate_tree``.
 A custom scheme also keeps its law's exponential-polynomial parts at its
 q (``parts``), found on the first series call; they are coefficients,
 not values of d(n).
@@ -42,6 +42,7 @@ from functools import cached_property
 from .expressions import (
     EvaluationError,
     ExpressionTree,
+    evaluate_band,
     evaluate_tree,
     exponential_parts,
     parse_deformation,
@@ -63,6 +64,7 @@ _KINDS = (UNDEFORMED, BIEDENHARN_MACFARLANE, CUSTOM)
 
 _PROBE_TOL = 1e-12
 _SINH_ARG_MAX = math.asinh(sys.float_info.max)  # 710.4758600739439
+_AHEAD = 64  # values a one-value growth of a custom column reads
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class DeformationScheme:
     def _probe(self):
         for n, want in ((0, 0.0), (1, 1.0)):
             try:
-                got = evaluate_tree(self.expr, self.q, float(n))
+                got = eval_d(self, n)
             except EvaluationError as exc:
                 raise ValueError(f"custom deformation rejected: {exc}") from exc
             if abs(got - want) > _PROBE_TOL:
@@ -149,18 +151,21 @@ class DeformationScheme:
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown to at least ``count`` values,
         in order, and returned itself (read-only; it may already be longer).
-        A built-in law adds its values as one band; a custom law, and a band
-        that is not finite, adds each value by ``eval_d``.  If d(n) fails,
+        The values are added as one band of ``_block``; a band that fails
+        adds each value by ``eval_d``.  A one-value growth of a custom
+        column, as the scan makes them, reads a band of ``_AHEAD`` values
+        and keeps it only when every value in it is finite.  If d(n) fails,
         d(0..n-1) are kept and the error propagates; the next call that
         needs d(n) raises it again.
         """
         column = self._column
         start = n = len(column)
         if n < count:
-            new = [] if self.kind == CUSTOM else self._block(n, count)
+            ahead = self.kind == CUSTOM and count == n + 1
+            new = self._block(n, n + _AHEAD if ahead else count)
             n += len(new)
             try:
-                while n < count:  # cheaper than a range for the scan's one value per call
+                while n < count:
                     new.append(eval_d(self, n))
                     n += 1
             finally:
@@ -170,10 +175,14 @@ class DeformationScheme:
         return column
 
     def _block(self, start: int, stop: int) -> list[float]:
-        """d(start..stop-1) of a built-in law, or [] if any of them is not
-        finite, so that ``eval_d`` raises.  The only evaluator of a built-in
-        d(n): with lam = |ln q|, sinh(m lam) / sinh(lam) while m lam is in
-        sinh's range, the exponential form past it, and m itself at lam = 0."""
+        """d(start..stop-1) as one band, or [] if any of them fails or is not
+        finite, so that ``eval_d`` raises.  A custom law's band is one walk
+        of its tree (``expressions.evaluate_band``).  A built-in law's is
+        its only evaluator: with lam = |ln q|, sinh(m lam) / sinh(lam) while
+        m lam is in sinh's range, the exponential form past it, and m itself
+        at lam = 0."""
+        if self.kind == CUSTOM:
+            return evaluate_band(self.expr, self.q, map(float, range(start, stop))) or []
         lam = abs(self.lam)
         if lam == 0.0:
             return [float(m) for m in range(start, stop)]

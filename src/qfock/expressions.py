@@ -18,16 +18,15 @@ limits.  A literal must be finite: ``1e999`` is rejected at its position.
 Trees are immutable and evaluation is pure, so parsed expressions can be
 shared freely between concurrent callers.
 
-A tree is evaluated by generating one straight-line Python function of
-(q, n) for it, with one assignment per node in a tree walk's order, so
-the values and error messages are those of walking the tree.  Only fixed
-text and generated names enter the generated source; literals and
-functions are bound as its globals.  ``evaluate_tree`` keeps each live
-tree's function, keyed by the tree's identity and dropped when the tree
-is collected, so a tree is walked into source once.  ``parse_deformation``
-keeps one tree per text in a bounded least-recently-used cache, so each
-distinct law text is parsed and compiled once while its tree is kept;
-nothing caches a value of a law.
+A tree is evaluated by one recursive walk over a band of n: a subtree
+free of n is one float, and a subtree in n is the list of its values,
+mapped node by node with the node's operator or function, so the cost of
+reading the tree is paid per node, not per value.  ``evaluate_band`` gives
+the values at many n (None if any fails); ``evaluate_tree`` is the same
+walk at one n, and its errors name q and n.  No law text becomes code.
+``parse_deformation`` keeps one tree per text in a bounded least-recently-
+used cache, so each distinct law text is parsed once while its tree is
+kept; nothing caches a value of a law.
 
 ``exponential_parts`` maps a tree at one q to finite parts
 d(n) = sum_j c_j n^k_j b_j^n, or to None when the law is written with
@@ -40,10 +39,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from itertools import repeat
+from typing import Iterable, Union
 
 __all__ = [
     "ExpressionError",
@@ -56,6 +55,7 @@ __all__ = [
     "FunctionCall",
     "parse_deformation",
     "evaluate_tree",
+    "evaluate_band",
     "render",
 ]
 
@@ -239,107 +239,77 @@ def _parse(source: str) -> ExpressionTree:
     return _Parser(source).parse()
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def evaluate_tree(tree: ExpressionTree, q: float, n: float) -> float:
-    """Evaluate a parsed expression at the point (q, n).
+    """Evaluate a parsed expression at the point (q, n): the walk of
+    ``evaluate_band``, with the one n in place of a band.
 
     Raises EvaluationError when the arithmetic leaves the finite reals
-    (division by zero, domain errors, overflow, complex powers).  The
-    first call on a tree compiles it with ``_compile``; the law is kept
-    while the tree lives, and later calls on the tree only run it.
+    (division by zero, domain errors, overflow, complex powers), and
+    KeyError for a hand-built tree that names an unknown function.
     """
     try:
-        law = _LAWS[id(tree)]
-    except KeyError:
-        law = _compile(tree)
-        # Keyed by identity, not value: Number(0.0) == Number(-0.0), and
-        # hashing a tree walks it.  The entry goes with the tree, so a later
-        # tree that reuses the id never finds this law.
-        weakref.finalize(tree, _LAWS.pop, id(tree), None)
-        _LAWS[id(tree)] = law
-    return law(q, n)
+        value = _walk(tree, q, n)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc
+    except OverflowError as exc:
+        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc
+    except ValueError as exc:
+        raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise EvaluationError(f"non-finite value {value!r} at q={q!r}, n={n!r}")
+    return value
 
 
-_LAWS: dict[int, Callable[[float, float], float]] = {}  # id(tree) -> its law
-# Spellings of BinaryOp.op: the table's own strings enter the generated
-# source, never the tree's.  Any other op is a power, as in a walk of the tree.
-_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+def evaluate_band(tree: ExpressionTree, q: float, ns: Iterable[float]) -> list[float] | None:
+    """The values of a parsed expression at q and each n of ns, in order,
+    from one walk of the tree; None when any of them fails, since
+    ``evaluate_tree`` at each n names the first failure."""
+    ns = list(ns)
+    try:
+        values = _walk(tree, q, ns)
+    except (ArithmeticError, ValueError, KeyError):
+        return None
+    if not isinstance(values, list):
+        values = [values] * len(ns)
+    return values if all(map(math.isfinite, values)) else None
 
 
-def _compile(tree: ExpressionTree) -> Callable[[float, float], float]:
-    """The tree as a function of (q, n) that returns exactly what a walk
-    of the tree returns and raises exactly what ``evaluate_tree`` raises;
-    ``evaluate_tree`` calls it once per live tree.
-
-    A walk of the tree writes the source of ``law(q, n)``: one assignment
-    per node, in the walk's order (left operand, right operand, then the
-    operator), with ``evaluate_tree``'s error mapping around them.  Only
-    fixed text and generated names enter the source: literals and
-    functions are bound as the globals g0, g1, ... of the namespace the
-    source is executed in.
-    """
-    lines: list[str] = []
-    bound: list = []
-
-    def bind(value) -> str:
-        bound.append(value)
-        return f"g{len(bound) - 1}"
-
-    def walk(node: ExpressionTree) -> str:
-        """Write the lines that compute the node; return the name holding it."""
-        if isinstance(node, Number):
-            return bind(node.value)
-        if isinstance(node, Variable):
-            return "q" if node.name == "q" else "n"
-        if isinstance(node, Negate):
-            value = f"-{walk(node.operand)}"
-        elif isinstance(node, FunctionCall):
-            # The walk looks the function up before it evaluates the argument;
-            # only a hand-built tree names a function missing from FUNCTIONS.
-            if node.name in FUNCTIONS:
-                function = bind(FUNCTIONS[node.name])
-            else:
-                function = bind(node.name)
-                lines.append(f"raise KeyError({function})")
-            value = f"{function}({walk(node.argument)})"
-        else:
-            left, right = walk(node.left), walk(node.right)
-            op = _OPERATORS.get(node.op)
-            if op is None:  # any other op is a power
-                target = f"v{len(lines)}"
-                lines.append(f"{target} = {left} ** {right}")
-                lines.append(
-                    f"if isinstance({target}, complex): "
-                    f'raise EvaluationError(f"complex power {{{left}!r}} ^ {{{right}!r}}")'
-                )
-                return target
-            value = f"{left} {op} {right}"
-        target = f"v{len(lines)}"
-        lines.append(f"{target} = {value}")
-        return target
-
-    value = walk(tree)
-    body = "\n        ".join(lines) or "pass"
-    source = (
-        "def law(q, n):\n"
-        "    try:\n"
-        f"        {body}\n"
-        "    except ZeroDivisionError as exc:\n"
-        '        raise EvaluationError(f"division by zero at q={q!r}, n={n!r}") from exc\n'
-        "    except OverflowError as exc:\n"
-        '        raise EvaluationError(f"overflow at q={q!r}, n={n!r}") from exc\n'
-        "    except ValueError as exc:\n"
-        '        raise EvaluationError(f"{exc} at q={q!r}, n={n!r}") from exc\n'
-        f"    if isinstance({value}, complex) or not isfinite({value}):\n"
-        f'        raise EvaluationError(f"non-finite value {{{value}!r}} at q={{q!r}}, n={{n!r}}")\n'
-        f"    return {value}\n"
-    )
-    namespace = {f"g{i}": value for i, value in enumerate(bound)}
-    namespace.update(EvaluationError=EvaluationError, isfinite=math.isfinite)
-    exec(source, namespace)
-    return namespace["law"]
+def _walk(node: ExpressionTree, q: float, ns: float | list[float]) -> float | list[float]:
+    """The node's value: a float when its subtree is free of n or ns is
+    one n, else the list of its values at each n of ns.  Nodes are taken
+    in a walk's order: the left operand, the right operand, then the
+    operator, and a function is looked up before its argument; any name
+    but "q" is n, and any op but + - * / is a power."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return q if node.name == "q" else ns
+    if isinstance(node, Negate):
+        value = _walk(node.operand, q, ns)
+        return list(map(operator.neg, value)) if isinstance(value, list) else -value
+    if isinstance(node, FunctionCall):
+        function = FUNCTIONS[node.name]
+        value = _walk(node.argument, q, ns)
+        return list(map(function, value)) if isinstance(value, list) else function(value)
+    left, right = _walk(node.left, q, ns), _walk(node.right, q, ns)
+    op = _ARITHMETIC.get(node.op, _power)
+    if isinstance(left, list):
+        return list(map(op, left, right if isinstance(right, list) else repeat(right)))
+    if isinstance(right, list):
+        return list(map(op, repeat(left), right))
+    return op(left, right)
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def _power(left: float, right: float) -> float:
+    value = left**right
+    if isinstance(value, complex):
+        raise EvaluationError(f"complex power {left!r} ^ {right!r}")
+    return value
+
+
 _MAX_PARTS = 16  # parts of one law once like parts are merged
 _MAX_DEGREE = 8  # largest power of n in a part
 
@@ -393,7 +363,7 @@ def _parts(node: ExpressionTree, q: float) -> float | _Parts:
     if isinstance(node, FunctionCall):
         value = _parts(node.argument, q)
         if not isinstance(value, dict):
-            return _real(FUNCTIONS[node.name](value))
+            return FUNCTIONS[node.name](value)
         if node.name != "exp":
             raise _Outside
         alpha, beta = _affine(value)
@@ -401,7 +371,7 @@ def _parts(node: ExpressionTree, q: float) -> float | _Parts:
     left, right = _parts(node.left, q), _parts(node.right, q)
     op = node.op
     if not isinstance(left, dict) and not isinstance(right, dict):
-        return _real(_ARITHMETIC.get(op, operator.pow)(left, right))  # any other op is a power
+        return _ARITHMETIC.get(op, _power)(left, right)
     if op in ("+", "-"):
         merged = dict(left) if isinstance(left, dict) else {(0, 1.0): left}
         addend = right if isinstance(right, dict) else {(0, 1.0): right}
@@ -429,12 +399,6 @@ def _parts(node: ExpressionTree, q: float) -> float | _Parts:
         raise _Outside
     alpha, beta = _affine(right)
     return {(0, left**beta): left**alpha}
-
-
-def _real(value):
-    if isinstance(value, complex):
-        raise _Outside
-    return value
 
 
 def _affine(parts: _Parts) -> tuple[float, float]:

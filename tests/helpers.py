@@ -2,7 +2,7 @@
 d(n), the dense-matrix reference routes, the per-call ``eval_d``
 references for the routes that read a scheme's column (the closed stop of
 the built-in laws, the adaptive scan of ``expr:`` laws), and the
-tree-walking reference for compiled expressions."""
+tree-walking reference for ``evaluate_tree``."""
 
 import math
 import sys

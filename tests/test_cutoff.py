@@ -115,11 +115,13 @@ def test_ratio_is_checked_before_the_verdict(ratio, name):
 
 
 def test_scan_stops_at_the_term_cap():
-    # A bounded law at r = 1 - 1e-5 has not settled after CAP terms.
-    scheme = DeformationScheme.custom("2*(1 - 0.5^n)", 1.0)
+    # A bounded law at r = 1 - 1e-5 has not settled after CAP terms, whether
+    # its parts are summed or, with a term outside their class, it is scanned.
     message = f"series did not settle within {CAP} terms"
-    with pytest.raises(DivergenceError, match=message):
-        weighted_series(scheme, 1.0 - 1e-5, 1e-12, 1e-5)
+    for law in ("2*(1 - 0.5^n)", "2*(1 - 0.5^n) + 0*ln(2 + n)"):
+        scheme = DeformationScheme.custom(law, 1.0)
+        with pytest.raises(DivergenceError, match=message):
+            weighted_series(scheme, 1.0 - 1e-5, 1e-12, 1e-5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, math.nan])
@@ -148,6 +150,13 @@ def test_closed_stop_at_ratio_zero_is_an_empty_sum(name):
         total = weighted_series(SCHEMES[name](), 0.0, 1e-12, prefactor)
         assert math.copysign(1.0, total) == 1.0 and total == 0.0
     assert weighted_cutoff(SCHEMES[name](), 0.0, 1e-12) == 0
+
+
+def test_parts_stop_at_ratio_zero_is_the_n_0_term():
+    # Every part's b r is 0, so only the n = 0 term is left: 0 for d(n) = n.
+    scheme = DeformationScheme.custom("n", 1.0)
+    assert weighted_cutoff(scheme, 0.0, 1e-12) == 0
+    assert repr(weighted_series(scheme, 0.0, 1e-12, 1.0)) == "0.0"
 
 
 def test_closed_stop_ends_where_tol_times_the_sum_underflows():
@@ -261,6 +270,10 @@ PARTS_LAWS = {
     "bm-text-1.3": (BM_TEXT, 1.3),
     "bm-text-0.6": (BM_TEXT, 0.6),
     "bounded": ("2*(1 - 0.5^n)", 1.0),
+    # A part far above the one at the largest b: past the fixed point of
+    # that part alone, N is found by doubling steps and a bisection.
+    "heavy-1e6": ("n*(1 - 1e6) + 1e6/0.999*n*0.999^n", 1.0),
+    "heavy-1e4": ("n*(1 - 1e4) + 1e4/0.99*n*0.99^n", 1.0),
 }
 
 

@@ -1,13 +1,12 @@
 """Parser and evaluator tests for deformation expressions."""
 
-import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfock import expressions
-from qfock.deformation import DeformationScheme, eval_d
+from qfock.deformation import DeformationScheme
 from qfock.expressions import (
     FUNCTIONS,
     BinaryOp,
@@ -17,6 +16,7 @@ from qfock.expressions import (
     Negate,
     Number,
     Variable,
+    evaluate_band,
     evaluate_tree,
     exponential_parts,
     parse_deformation,
@@ -115,8 +115,8 @@ def test_render_round_trips(source):
     assert parse_deformation(render(tree)) == tree
 
 
-# Compiled evaluation against the tree walk it replaced: the same value,
-# bit for bit, or the same exception type and message.
+# Evaluation against a reference walk of the tree: the same value, bit for
+# bit, or the same exception type and message.
 
 
 def _outcome(call):
@@ -358,7 +358,7 @@ _CLASS_TREES = st.recursive(
 )
 def test_exponential_parts_on_random_trees(tree, q, ns):
     """None for every tree outside the class; for a recognized tree, the
-    parts' value equals the compiled law's within a few ulps, per node of
+    parts' value equals ``evaluate_tree``'s within a few ulps, per node of
     the tree, of the magnitudes either side rounds."""
     parts = exponential_parts(tree, q)
     if _outside(tree, q):
@@ -375,30 +375,6 @@ def test_exponential_parts_on_random_trees(tree, q, ns):
         assert abs(got - want) <= 4 * _size(tree) * 2.0**-52 * scale, (n, got, want)
 
 
-@pytest.mark.parametrize(
-    "source", ["n + (q - 1)*n*(n - 1)/2", "2*n/(3 - n)", "(exp(n) - 1)/(exp(1) - 1)"]
-)
-def test_scheme_compiles_its_law_once(source, monkeypatch):
-    expressions._parse.cache_clear()  # an earlier test may have compiled the text
-    compiled = []
-    compile_law = expressions._compile
-
-    def counting_compile(tree):
-        compiled.append(tree)
-        return compile_law(tree)
-
-    monkeypatch.setattr(expressions, "_compile", counting_compile)
-    scheme = DeformationScheme.custom(source, 1.5)
-    for n in range(800):  # the last law overflows from n = 710
-        got = _outcome(lambda: eval_d(scheme, n))
-        assert got == _outcome(lambda: reference_evaluate_tree(scheme.expr, 1.5, float(n)))
-    # a scheme of the same text at another q shares the tree and its law
-    other = DeformationScheme.custom(source, 0.5)
-    assert other.expr is scheme.expr
-    assert eval_d(other, 2) == reference_evaluate_tree(scheme.expr, 0.5, 2.0)
-    assert compiled == [scheme.expr]
-
-
 def test_equal_texts_share_one_tree():
     text = "n + (q - 1)*n*(n - 1)/2"
     copy = "".join(list(text))
@@ -406,9 +382,9 @@ def test_equal_texts_share_one_tree():
     assert parse_deformation(text) is parse_deformation(text) is parse_deformation(copy)
 
 
-# Hand-built trees may hold any string; the generated code must read each
-# one as the walk does (an unknown op is a power, any name but "q" is n, an
-# unknown function fails when looked up) and never paste it into source.
+# Hand-built trees may hold any string; the evaluator must read each one as
+# the reference walk does (an unknown op is a power, any name but "q" is n,
+# an unknown function fails when looked up).
 HOSTILE = "+ __import__('os').getpid() +"
 HOSTILE_TREES = [
     BinaryOp(HOSTILE, Variable("n"), Number(2.0)),
@@ -423,10 +399,6 @@ HOSTILE_TREES = [
     # ... and the lookup comes before its argument
     BinaryOp("+", FunctionCall(HOSTILE, BinaryOp("/", Number(1.0), Number(0.0))), Variable("n")),
 ]
-_FIXED_NAMES = {
-    "isinstance", "complex", "isfinite", "EvaluationError", "KeyError",
-    "ZeroDivisionError", "OverflowError", "ValueError",
-}  # fmt: skip
 
 
 @pytest.mark.parametrize("tree", HOSTILE_TREES)
@@ -438,8 +410,66 @@ def test_hand_built_strings_evaluate_as_the_walk_reads_them(tree):
     for q, n in ((0.5, 0.0), (2.0, 3.0)):
         got = _outcome(lambda: evaluate_tree(tree, q, n))
         assert got == _outcome(lambda: reference_evaluate_tree(tree, q, n)), (q, n)
-    names = set(expressions._compile(tree).__code__.co_names)
-    assert {name for name in names if not name.lstrip("g").isdigit()} <= _FIXED_NAMES
+
+
+ORDERING_TREES = [
+    parse_deformation(source) for source in COMPILED_CASES if source.startswith("ln(0 - q)")
+]
+
+
+def _unprobed(tree, q):
+    """A custom scheme at q with any tree as its law: made on the law n,
+    then given the tree, so that construction's probes let it through."""
+    scheme = DeformationScheme.custom("n", q)
+    object.__setattr__(scheme, "expr", tree)
+    return scheme
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=st.one_of(_TREES, st.sampled_from(HOSTILE_TREES + ORDERING_TREES)),
+    q=st.floats(min_value=1e-3, max_value=1e3),
+    start=st.integers(0, 1100),
+    length=st.integers(1, 80),
+    one_at_a_time=st.booleans(),
+)
+# d(40) divides by zero, past the count but inside the band read ahead
+@example(parse_deformation("39*n/(40 - n)"), 1.0, 0, 10, True)
+@example(parse_deformation("exp(n)"), 2.0, 650, 80, False)  # overflows from n = 710
+@example(ORDERING_TREES[-1], 2.0, 0, 3, True)
+@example(HOSTILE_TREES[-1], 0.5, 2, 5, False)
+def test_band_is_the_walk_at_each_n(tree, q, start, length, one_at_a_time):
+    """A band whose values are all finite is ``evaluate_tree`` at each n,
+    bit for bit, and any other band is None.  A column grown to a count,
+    at once or one value at a time as the scan grows it, raises what
+    ``evaluate_tree`` raises at the first failing n and keeps the values
+    before it; a value it reads past the count never raises."""
+    stop = start + length
+    want = [_outcome(lambda: evaluate_tree(tree, q, float(n))) for n in range(stop)]
+    failing = [n for n, (value, _) in enumerate(want) if not isinstance(value, float)]
+    band = evaluate_band(tree, q, map(float, range(start, stop)))
+    if failing and failing[-1] >= start:
+        assert band is None
+    else:
+        assert [repr(value) for value in band] == [text for _, text in want[start:]]
+
+    scheme = _unprobed(tree, q)
+
+    def grow():
+        for count in range(1, stop + 1) if one_at_a_time else [stop]:
+            scheme.d_values(count)
+
+    grown = _outcome(grow)
+    column = [repr(value) for value in scheme.d_values(0)]
+    if failing:
+        assert grown == want[failing[0]]
+        assert column == [text for _, text in want[: failing[0]]]
+    else:
+        assert grown == (None, "None")
+        assert column[:stop] == [text for _, text in want]
+        assert column[stop:] == [
+            repr(evaluate_tree(tree, q, float(n))) for n in range(stop, len(column))
+        ]
 
 
 def _zero_trees():
@@ -472,21 +502,6 @@ def test_compiled_laws_are_kept_up_to_the_bound():
     info = expressions._parse.cache_info()
     assert info.currsize == info.maxsize == bound
     assert info.misses == bound + 10
-
-
-def test_dropped_schemes_leave_no_law_behind():
-    # the text cache keeps each parsed tree, so it is emptied to drop them
-    expressions._parse.cache_clear()
-    start = len(expressions._LAWS)
-    for k in range(1000):
-        scheme = DeformationScheme.custom(f"n + {k}*n*(n - 1)", 1.5)
-        expressions._parse.cache_clear()
-        assert scheme.d_values(3)[2] == 2.0 + 2.0 * k
-        assert len(expressions._LAWS) == start + 1
-    del scheme
-    expressions._parse.cache_clear()
-    gc.collect()
-    assert len(expressions._LAWS) == start
 
 
 def test_a_reused_id_never_finds_an_earlier_law():
