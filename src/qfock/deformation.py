@@ -24,9 +24,10 @@ resolves one scheme per q evaluates each d(n) of that column once.  The
 column asks ``_block`` for every band of values it adds: for a built-in
 law the one-pass sinh band, its only evaluator, and for a custom law one
 walk of its tree over the band (``expressions.evaluate_band``).  A band
-that fails goes to ``eval_d`` one value at a time, so every failure is
-raised there, naming the first n that fails; ``eval_d`` reads one value
-as a built-in band of one, or as ``expressions.evaluate_tree``.
+that fails is read again in halves down to the first n that fails, and
+``eval_d`` reads that one value, so every failure is raised there, naming
+n; ``eval_d`` reads one value as a built-in band of one, or as
+``expressions.evaluate_tree``.
 A custom scheme also keeps its law's exponential-polynomial parts at its
 q (``parts``), found on the first series call; they are coefficients,
 not values of d(n).
@@ -152,22 +153,34 @@ class DeformationScheme:
         """The column d(0), d(1), ..., grown to at least ``count`` values,
         in order, and returned itself (read-only; it may already be longer).
         The values are added as one band of ``_block``; a band that fails
-        adds each value by ``eval_d``.  A one-value growth of a custom
-        column, as the scan makes them, reads a band of ``_AHEAD`` values
-        and keeps it only when every value in it is finite.  If d(n) fails,
-        d(0..n-1) are kept and the error propagates; the next call that
-        needs d(n) raises it again.
+        is read again in halves, which finds its longest prefix that
+        passes in about log2(band) reads, and only the first n past that
+        prefix goes to ``eval_d``.  A one-value growth of a custom column,
+        as the scan makes them, reads a band of ``_AHEAD`` values, and
+        ``eval_d`` is called only below the requested count, so a value
+        past the request never raises.  If d(n) fails, d(0..n-1) are kept
+        and the error propagates; the next call that needs d(n) raises it
+        again.
         """
         column = self._column
         start = n = len(column)
         if n < count:
             ahead = self.kind == CUSTOM and count == n + 1
-            new = self._block(n, n + _AHEAD if ahead else count)
+            stop = bad = n + _AHEAD if ahead else count
+            new = self._block(n, stop)
             n += len(new)
             try:
-                while n < count:
-                    new.append(eval_d(self, n))
-                    n += 1
+                while n < count:  # d(n..bad-1) failed as one band or is unread
+                    half = (n + bad + 1) // 2
+                    if bad == n + 1:
+                        # Raises, unless only a built-in band's sum overflowed.
+                        new.append(eval_d(self, n))
+                        n, bad = n + 1, stop
+                    elif band := self._block(n, half):
+                        new += band
+                        n = half
+                    else:
+                        bad = half
             finally:
                 # Another thread may have grown the column meanwhile; the
                 # values agree, so the slice only ever lengthens it.
@@ -199,7 +212,7 @@ class DeformationScheme:
         except OverflowError:
             return []
         # inf or nan makes the sum non-finite; a finite block whose sum
-        # overflows only falls back to one ``eval_d`` call per value.
+        # overflows is read again in halves, each value by the same form.
         return block if math.isfinite(sum(block)) else []
 
     @property

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .deformation import DeformationScheme
@@ -63,16 +64,34 @@ class PairedDiagonalState:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Second-order expectations of a paired state.
+    """Second-order expectations of a paired state, each summed on its
+    first read (one ``math.fsum`` over the coefficients, then cached).
 
     adag_a  = <a+ a>        a_adag          = <a a+>
     a_atilde = <a a~>       adag_atildedag  = <a+ a~+>
+
+    ``coeffs`` are the state's c_n and ``d`` is d(0..cutoff+1).
     """
 
-    adag_a: float
-    a_adag: float
-    a_atilde: float
-    adag_atildedag: float
+    coeffs: tuple[float, ...]
+    d: Sequence[float]
+
+    @cached_property
+    def adag_a(self) -> float:
+        return math.fsum(dn * cn * cn for dn, cn in zip(self.d, self.coeffs))
+
+    @cached_property
+    def a_adag(self) -> float:
+        return math.fsum(dn * cn * cn for dn, cn in zip(self.d[1:], self.coeffs))
+
+    @cached_property
+    def a_atilde(self) -> float:
+        c = self.coeffs
+        return math.fsum(dn * cp * cn for dn, cp, cn in zip(self.d[1:], c, c[1:]))
+
+    @property
+    def adag_atildedag(self) -> float:
+        return self.a_atilde
 
 
 def from_probabilities(
@@ -94,15 +113,12 @@ def moments(state: PairedDiagonalState, scheme: DeformationScheme) -> MomentSet:
         <a a~>  = <a+ a~+> = sum d(n) c_{n-1} c_n
 
     The cross moment follows from a a~ |n, n~> = d(n) |n-1, n~-1> and the
-    orthogonality of the pair basis.
+    orthogonality of the pair basis.  The column d(0..cutoff+1) is read
+    here, so a d(n) that fails raises here; each sum runs when its moment
+    is first read.
     """
     c = state.coeffs
-    d = scheme.d_values(len(c) + 1)  # the column; it may hold more values
-    d_next = d[1 : len(c) + 1]
-    adag_a = math.fsum(dn * cn * cn for dn, cn in zip(d, c))
-    a_adag = math.fsum(dn * cn * cn for dn, cn in zip(d_next, c))
-    cross = math.fsum(dn * cp * cn for dn, cp, cn in zip(d_next, c, c[1:]))
-    return MomentSet(adag_a, a_adag, cross, cross)
+    return MomentSet(c, scheme.d_values(len(c) + 1)[: len(c) + 1])
 
 
 def quadrature_variances(m: MomentSet) -> tuple[float, float]:

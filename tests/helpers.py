@@ -20,7 +20,6 @@ from qfock.expressions import (
     Number,
     Variable,
 )
-from qfock.paired_state import MomentSet
 
 SINH_ARG_MAX = math.asinh(sys.float_info.max)  # sinh overflows past it
 
@@ -287,13 +286,14 @@ def reference_closed_scan(scheme, ratio, tol, prefactor, extra=0):
 
 
 def reference_moments(state, scheme):
-    """Reference for ``moments``: d(0..cutoff+1) by one ``eval_d`` call each."""
+    """Reference for ``moments``: d(0..cutoff+1) by one ``eval_d`` call each,
+    and the four moments (adag_a, a_adag, a_atilde, adag_atildedag)."""
     c = state.coeffs
     d = [eval_d(scheme, n) for n in range(len(c) + 1)]
     adag_a = math.fsum(d[n] * c[n] * c[n] for n in range(len(c)))
     a_adag = math.fsum(d[n + 1] * c[n] * c[n] for n in range(len(c)))
     cross = math.fsum(d[n] * c[n - 1] * c[n] for n in range(1, len(c)))
-    return MomentSet(adag_a, a_adag, cross, cross)
+    return adag_a, a_adag, cross, cross
 
 
 def reference_evaluate_tree(tree, q, n):

@@ -233,6 +233,12 @@ def test_shared_scheme_in_any_order_equals_fresh_schemes(name, order):
         assert _outcome(_column_scan, shared, ratio, tol) == want, (ratio, tol)
 
 
+def _read_moments(state, scheme):
+    """The four moments of ``moments``, each read."""
+    m = moments(state, scheme)
+    return m.adag_a, m.a_adag, m.a_atilde, m.adag_atildedag
+
+
 @pytest.mark.parametrize("name", SCHEMES)
 def test_moments_equal_per_call_reference(name):
     make = SCHEMES[name]
@@ -243,8 +249,8 @@ def test_moments_equal_per_call_reference(name):
         except ArithmeticError:
             continue
         want = _outcome(reference_moments, state, make())
-        assert _outcome(moments, state, make()) == want
-        assert _outcome(moments, state, shared) == want
+        assert _outcome(_read_moments, state, make()) == want
+        assert _outcome(_read_moments, state, shared) == want
 
 
 def test_column_stops_before_the_first_failing_value():
@@ -263,6 +269,43 @@ def test_column_stops_before_the_first_failing_value():
     with pytest.raises(EvaluationError, match="n=3"):
         failing.d_values(10)
     assert failing.d_values(0) == [0.0, 1.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "name, count, first_bad, error",
+    [
+        ("fails-at-40", 41, 40, EvaluationError),
+        ("fails-at-40", 64, 40, EvaluationError),
+        ("fails-at-40", 1000, 40, EvaluationError),
+        ("bm-2", 1026, 1025, OverflowError),
+        ("bm-2", 1100, 1025, OverflowError),
+        ("bm-2", 4096, 1025, OverflowError),
+    ],
+)
+def test_failed_band_is_read_in_halves(monkeypatch, name, count, first_bad, error):
+    """A band that fails is searched in halves for its longest prefix that
+    passes; only the first n past it goes to ``eval_d``."""
+    make = SCHEMES[name]
+    fresh, scheme = make(), make()  # a custom law's probes call eval_d
+    want = [float.hex(eval_d(fresh, n)) for n in range(first_bad)]
+    reads, calls = [], []
+    block = DeformationScheme._block
+
+    def counted_block(scheme, start, stop):
+        reads.append((start, stop))
+        return block(scheme, start, stop)
+
+    def counted(scheme, n):
+        calls.append(n)
+        return eval_d(scheme, n)
+
+    monkeypatch.setattr(DeformationScheme, "_block", counted_block)
+    monkeypatch.setattr(qfock.deformation, "eval_d", counted)
+    with pytest.raises(error, match=f"n={first_bad}[^0-9]"):
+        scheme.d_values(count)
+    assert calls == [first_bad]
+    assert len(reads) <= 2 * math.log2(count) + 2
+    assert list(map(float.hex, scheme.d_values(0))) == want
 
 
 def _grown(scheme, counts):

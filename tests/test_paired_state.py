@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qfock import (
     squeezed_probabilities,
     thermal_probabilities,
 )
-from qfock.paired_state import MomentSet, PairedDiagonalState
+from qfock.paired_state import PairedDiagonalState
 
 from helpers import (
     close,
@@ -40,6 +41,17 @@ SCHEMES = [
     BM_TWO,
     DeformationScheme.custom("n*(3+n)/4", 1.0),
 ]
+
+
+class Moments(NamedTuple):
+    """Hand-picked moments under the attribute names
+    ``quadrature_variances`` reads."""
+
+    adag_a: float
+    a_adag: float
+    a_atilde: float
+    adag_atildedag: float
+
 
 # Exact rational value of sum d(n) (1-r) r^n for the symmetric scheme,
 # q = 2, r = 3/10: the split geometric series sums to 21/34.
@@ -158,8 +170,18 @@ def test_geometric_shift_identities(scheme, r):
     assert abs(m.a_atilde - m.adag_a / math.sqrt(r)) <= 1e-10
 
 
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+def test_moments_sum_only_what_is_read(scheme):
+    m = moments(geometric_state(scheme, 0.3, 1e-14), scheme)
+    assert m.adag_a >= 0.0
+    assert "adag_a" in vars(m)
+    assert "a_adag" not in vars(m) and "a_atilde" not in vars(m)
+    assert m.adag_atildedag == m.a_atilde
+    assert "a_adag" not in vars(m)
+
+
 def test_vacuum_variances():
-    var1, var2 = quadrature_variances(MomentSet(0.0, 1.0, 0.0, 0.0))
+    var1, var2 = quadrature_variances(Moments(0.0, 1.0, 0.0, 0.0))
     assert var1 == 0.25
     assert var2 == 0.25
 
@@ -173,7 +195,7 @@ def test_undeformed_squeezed_variances():
 
 
 def test_uncorrelated_moments_give_equal_variances():
-    var1, var2 = quadrature_variances(MomentSet(0.7, 1.7, 0.0, 0.0))
+    var1, var2 = quadrature_variances(Moments(0.7, 1.7, 0.0, 0.0))
     assert var1 == var2
 
 
@@ -183,7 +205,7 @@ def test_uncertainty_product_identity():
         adag_a = float(rng.uniform(0.0, 5.0))
         a_adag = float(rng.uniform(0.0, 5.0))
         cross = float(rng.uniform(0.0, 3.0))
-        m = MomentSet(adag_a, a_adag, cross, cross)
+        m = Moments(adag_a, a_adag, cross, cross)
         var1, var2 = quadrature_variances(m)
         symmetric = 0.25 * (adag_a + a_adag)
         assert close(var1 * var2, symmetric**2 - (0.5 * cross) ** 2, 1e-12)

@@ -28,7 +28,7 @@ from qfock import (
 from qfock.cli import SweepSpec
 from qfock.geometric import probability_cutoff
 
-from helpers import close, undeformed_nbar_thermal
+from helpers import close, reference_moments, undeformed_nbar_thermal
 
 UNDEFORMED = DeformationScheme.undeformed()
 BM_TWO = DeformationScheme.biedenharn_macfarlane(2.0)
@@ -130,6 +130,23 @@ def test_series_reduces_to_bose_mean(theta):
 def test_series_frozen_value_bm2():
     spec = ThermalSpec(theta=THETA_R03, scheme=BM_TWO)
     assert thermal_nbar_series(spec) == pytest.approx(NBAR_BM2_R03, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        BM_TWO,
+        UNDEFORMED,
+        DeformationScheme.custom("n + (q - 1)*n*(n - 1)/2", 1.3),
+    ],
+    ids=lambda s: s.label,
+)
+@pytest.mark.parametrize("theta", [0.8, THETA_R03, 3.0])
+def test_series_is_the_reference_mean_bit_for_bit(scheme, theta):
+    spec = ThermalSpec(theta=theta, scheme=scheme)
+    state = geometric_state(scheme, spec.law.r, spec.tail_tol)
+    want = reference_moments(state, scheme)[0]
+    assert thermal_nbar_series(spec).hex() == want.hex()
 
 
 def test_series_divergence_detected():
