@@ -145,8 +145,8 @@ class DeformationScheme:
     def parts(self) -> tuple[tuple[float, int, float], ...] | None:
         """A custom law at this q as (c, k, b) parts of d(n) = sum c n^k b^n
         (``expressions.exponential_parts``), found on first use; None for a
-        law outside that class and for a built-in law, whose sums have
-        their own closed form."""
+        law outside that class and for a built-in law, which the closed-tail
+        engine reads as one symmetric pair."""
         return exponential_parts(self.expr, self.q) if self.kind == CUSTOM else None
 
     def d_values(self, count: int) -> list[float]:

@@ -8,12 +8,12 @@ quadrature variances, and the entropy.  The squeezed and thermal modules
 only map their physical parameter onto a law.  This module also owns the
 rule for whether a law can be cut at a tail tolerance, cutoff selection,
 the d-weighted series, and ``geometric_state``, the paired state whose
-moments give the thermal series mean.  The series is cut where a closed
-tail says for a built-in law and for an ``expr:`` law whose exponential-
-polynomial parts ``DeformationScheme.parts`` finds (its terms formed
-from the parts, never from d(n)).  A streamed scan with divergence
-detection is the fallback: for an ``expr:`` law without parts, and for a
-built-in law whose d(n) overflows before its closed cutoff.
+moments give the thermal series mean.  One closed-tail engine gives the
+verdict and the cutoff of a built-in law, one symmetric pair of
+geometric parts, and of an ``expr:`` law with the exponential-polynomial
+parts ``DeformationScheme.parts`` finds.  A streamed scan is the fallback:
+for an ``expr:`` law without parts, and for a built-in law whose d(n)
+overflows before its closed cutoff.
 """
 
 from __future__ import annotations
@@ -120,19 +120,19 @@ class GeometricLaw(NamedTuple):
             nbar = r (1 - r) / ((1 - r - (q - 1) r) (1 - r + (q - 1) r / q))
 
         The factors are 1 - q r and 1 - r/q written without cancellation
-        as q -> 1, so the form holds at q = 1 too.  The series converges iff
-        both factors are positive (max(q, 1/q) r < 1); otherwise
-        DivergenceError is raised.  q is checked as every scheme's q is.
+        as q -> 1, so the form holds at q = 1 too.  DivergenceError where
+        the series' verdict, ``_pair_ratio``, says divergent, and where a
+        factor rounds to 0 or below though it says convergent (far past the
+        term cap).  q is checked as every scheme's q is.
         """
         q = DeformationScheme._checked_q(q)
         r, omr = self.r, self.one_minus_r
+        x = _pair_ratio(q, r)
         dq = q - 1.0
         lower = omr - dq * r
         upper = omr + dq * r / q
         if lower <= 0.0 or upper <= 0.0:
-            raise DivergenceError(
-                f"series diverges: max(q, 1/q) * r = {max(q, 1.0 / q) * r!r} >= 1"
-            )
+            raise DivergenceError(f"closed form lost to rounding at max(q, 1/q) * r = {x!r}")
         return r * omr / (lower * upper)
 
     def variances(self, nbar: float) -> tuple[float, float, float]:
@@ -247,144 +247,125 @@ def _weighted_terms(
     raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
 
 
-def _closed_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
-    """Smallest N whose tail sum_{n>N} d(n) ratio^n is at most tol times the
-    whole sum, for a built-in law; 0 at ratio 0.
-
-    With lam = |ln q| and x, y = e^(+-lam) ratio, the geometric sums of
-    d(n) = sinh(n lam) / sinh(lam) make that tail over the sum x^N part(N),
-    part(N) = (expm1(-2 (N + 1) lam) - y expm1(-2 N lam)) / expm1(-2 lam)
-    (N + 1 - y N at q = 1): positive, free of cancellation as q -> 1, and
-    falling with N.  N is the fixed point of its logarithm, reached from
-    below, then checked by a short walk.  ValueError for tol outside
-    (0, 1); DivergenceError when x >= 1 or N passes the term cap.
-    """
-    GeometricLaw._check_tail_tol(tol)
-    if ratio == 0.0:
-        return 0
-    peak = max(scheme.q, 1.0 / scheme.q)
-    x, y, lam = peak * ratio, ratio / peak, abs(scheme.lam)
+def _pair_ratio(q: float, ratio: float) -> float:
+    """x = max(q, 1/q) ratio, the larger of the symmetric pair's ratios, or
+    DivergenceError when x >= 1: the one verdict on a built-in law."""
+    x = max(q, 1.0 / q) * ratio
     if x >= 1.0:
         raise DivergenceError(f"series diverges: max(q, 1/q) * r = {x!r} >= 1", ratio=x)
-    unit = math.expm1(-2.0 * lam)
-
-    def part(n: int) -> float:
-        if lam == 0.0:
-            return n + 1 - y * n
-        return (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
-
-    ln_tol, ln_x, n, last = math.log(tol), math.log(x), 0, -1
-    while last < n < _MAX_TERMS:
-        last, n = n, max(n, math.ceil((ln_tol - math.log(part(n))) / ln_x))
-    while n < _MAX_TERMS and x**n * part(n) > tol:
-        n += 1
-    while 0 < n < _MAX_TERMS and x ** (n - 1) * part(n - 1) <= tol:
-        n -= 1
-    if n >= _MAX_TERMS:
-        raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
-    return n
+    return x
 
 
-def _parts_count(scheme: DeformationScheme, ratio: float, tol: float):
-    """(N + 1, [(c, k, x), ...]) with x = b ratio for the parts of an
-    ``expr:`` law that ``DeformationScheme.parts`` recognizes; None for any
-    other law and for parts that cancel beyond _CANCELLATION.
+def _closed_tail(scheme: DeformationScheme, ratio: float, tol: float):
+    """(N + 1, found) for a law with a closed tail, ``found`` being an
+    ``expr:`` law's parts as (c, k, x, |c| x, weights of P), x = b ratio,
+    and None for a built-in law; None for an ``expr:`` law that the scan
+    takes: one without parts, or whose parts cancel beyond _CANCELLATION.
 
-    The verdict: divergent iff some part has x >= 1.  The sum is
-    S = sum_j c_j G_k_j(x_j), and N is the smallest index whose closed tail
-    bound sum_j |c_j| sum_{n>N} n^k_j x_j^n is at most tol |S|.  Each tail
-    is x^(N+1) sum_i C(k, i) (N + 1)^(k-i) G_i(x); with x* the largest x,
-    the bound is x*^N F(N).  N comes from the fixed point of its logarithm
-    over the parts at x*, as in ``_closed_cutoff``, then from doubling
-    steps and a bisection if the other parts still weigh.  ValueError for
-    a ratio outside [0, 1) or a tol outside (0, 1); DivergenceError for
-    the verdict or an N past the term cap.
+    A built-in law is one symmetric pair, d(n) = sinh(n lam) / sinh(lam),
+    lam = |ln q|, with x, y = e^(+-lam) ratio; an ``expr:`` law is its parts
+    c n^k b^n, x = b ratio.  The verdict: divergent iff some part has
+    x >= 1.  N is the smallest index whose float product x*^N F(N), x* the
+    largest x, is at most tol: a bound on the tail past N over the sum |S|.
+    For the pair it is that ratio, F(N) = (expm1(-2 (N + 1) lam) -
+    y expm1(-2 N lam)) / expm1(-2 lam) (N + 1 - y N at lam = 0), free of
+    cancellation as q -> 1.  ValueError for a ratio outside [0, 1) or a tol
+    outside (0, 1); DivergenceError for the verdict or an N past the cap.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
-    parts = scheme.parts
-    if parts is None:
-        return None
     GeometricLaw._check_tail_tol(tol)
-    # S is summed exactly from c_j Li_{-k_j}(x_j) and the n = 0 terms c_j of
-    # the parts with k_j = 0.  G_i = sum_{n>=0} n^i x^n: G_0 = 1/(1 - x) and
-    # G_i = x/(1 - x) sum_{j<i} C(i, j) G_j, a sum of positive terms, which
-    # for i >= 1 is Li_{-i}(x) = x A_i(x)/(1 - x)^(i+1), A_i the Eulerian
-    # polynomial.  F(n) = sum_j |c_j| x_j (x_j / x*)^n P_j(n + 1), with
-    # P(m) = sum_i C(k, i) G_i m^(k-i), its weights highest power first.
-    found, pieces, weights, spread, peak = [], [], [], 0.0, 0.0
-    for c, k, b in parts:
-        x = b * ratio
-        if x >= 1.0:
-            raise DivergenceError(
-                f"series diverges: the part {c!r} n^{k} b^n has b * r = {x!r} >= 1", ratio=x
-            )
-        u = 1.0 / (1.0 - x)
-        if k == 0:
-            li, ws = x * u, [u]
-            pieces += (c * li, c)
-        else:
-            sums = [u]
-            for i in range(1, k + 1):
-                sums.append(x * u * sum([math.comb(i, j) * sums[j] for j in range(i)]))
-            li, ws = sums[k], [math.comb(k, i) * g for i, g in enumerate(sums)]
-            pieces.append(c * li)
-        spread += abs(c) * li
-        weights.append((abs(c) * x, x, ws))
-        found.append((c, k, x))
-        if x > peak:
-            peak = x
+    if scheme.kind != CUSTOM:
+        found, peak = None, _pair_ratio(scheme.q, ratio)
+        y, lam = ratio / max(scheme.q, 1.0 / scheme.q), abs(scheme.lam)
+        unit = math.expm1(-2.0 * lam)
+
+        def bound(n: int) -> tuple[float, float]:
+            if lam == 0.0:
+                return (n + 1 - y * n,) * 2
+            f = (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
+            return f, f
+
+    else:
+        parts = scheme.parts
+        if parts is None:
+            return None
+        # S is summed exactly from c_j Li_{-k_j}(x_j) and the n = 0 terms c_j
+        # of the parts with k_j = 0.  G_i = sum_{n>=0} n^i x^n: G_0 = 1/(1 - x)
+        # and G_i = x/(1 - x) sum_{j<i} C(i, j) G_j, which is Li_{-i}(x) for
+        # i >= 1.  A part's tail past N is x^(N+1) P(N + 1), P(m) =
+        # sum_i C(k, i) G_i m^(k-i), its weights highest power first, so
+        # F(N) |S| = sum_j |c_j| x_j (x_j / x*)^N P_j(N + 1).
+        found, pieces, spread, peak = [], [], 0.0, 0.0
+        for c, k, b in parts:
+            x = b * ratio
+            if x >= 1.0:
+                msg = f"series diverges: the part {c!r} n^{k} b^n has b * r = {x!r} >= 1"
+                raise DivergenceError(msg, ratio=x)
+            u = 1.0 / (1.0 - x)
+            if k == 0:
+                li, ws = x * u, [u]
+                pieces += (c * li, c)
+            else:
+                sums = [u]
+                for i in range(1, k + 1):
+                    sums.append(x * u * sum([math.comb(i, j) * sums[j] for j in range(i)]))
+                li, ws = sums[k], [math.comb(k, i) * g for i, g in enumerate(sums)]
+                pieces.append(c * li)
+            spread += abs(c) * li
+            found.append((c, k, x, abs(c) * x, ws))
+            peak = max(peak, x)
+        if peak > 0.0:
+            try:
+                total = abs(math.fsum(pieces))
+            except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+                return None
+            if not 0.0 < total < math.inf or not spread <= _CANCELLATION * total:
+                return None
+
+        def bound(n: int) -> tuple[float, float]:
+            m, top, rest = n + 1, 0.0, 0.0
+            for _, _, x, a, ws in found:
+                p = 0.0
+                for w in ws:
+                    p = p * m + w
+                if x == peak:
+                    top += a * p
+                else:
+                    rest += a * (x / peak) ** n * p
+            return top / total, (top + rest) / total
+
     if peak == 0.0:  # only the n = 0 term is not 0
         return 1, found
-    try:
-        total = abs(math.fsum(pieces))
-    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
-        return None
-    if not 0.0 < total < math.inf or not spread <= _CANCELLATION * total:
-        return None
-    ln_x, target = math.log(peak), math.log(tol) + math.log(total)
+    ln_tol, ln_x, cap = math.log(tol), math.log(peak), _MAX_TERMS - 1
 
-    def excess(n: int) -> tuple[float, float]:
-        """ln of the tail bound past n over its limit tol |S|: of the parts
-        at x* alone, whose F does not fall with n, and of all parts."""
-        m, top, rest = n + 1, 0.0, 0.0
-        for a, x, ws in weights:
-            p = 0.0
-            for w in ws:
-                p = p * m + w
-            if x == peak:
-                top += a * p
-            else:
-                rest += a * (x / peak) ** n * p
-        base = n * ln_x - target
-        return (
-            base + math.log(top) if top > 0.0 else -math.inf,
-            base + math.log(top + rest) if top + rest > 0.0 else -math.inf,
-        )
+    def over(n: int) -> bool:  # the float product of all parts is above tol
+        return not peak**n * bound(n)[1] <= tol
 
-    # The fixed point of the parts at x* climbs to their own smallest index
-    # without passing it, and N is at least that index; it is N where all
-    # parts' bound holds too, else N lies above, by doubling steps and a
-    # bisection.
-    n = 0
-    while True:
-        top, every = excess(n)
-        if every <= 0.0:
-            return n + 1, found
-        if n >= _MAX_TERMS - 1:
-            raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
-        if top <= 0.0:
+    # bound(n) is (F of the parts at x*, F of all parts).  The first does not
+    # fall with n, so the fixed point of its log climbs to its own smallest
+    # index, or stops where all parts meet tol.  Doubling steps and a
+    # bisection find N above it where the rest still weigh; the walk down
+    # undoes a fixed point that rounding carried past N.
+    n, last = 0, -1
+    while last < n:
+        top, every = bound(n)
+        if peak**n * every <= tol:
             break
-        step = min(top / -ln_x, _MAX_TERMS)  # top may be inf
-        n = min(_MAX_TERMS - 1, n + max(1, math.ceil(step)))
-    last, step = n, 1  # the bound exceeds its limit at last
-    while excess(n := min(_MAX_TERMS - 1, last + step))[1] > 0.0:
-        if n >= _MAX_TERMS - 1:
-            raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
-        last, step = n, 2 * step
-    while n - last > 1:
-        mid = (last + n) // 2
-        last, n = (last, mid) if excess(mid)[1] <= 0.0 else (mid, n)
+        last = n
+        v = (ln_tol - math.log(top)) / ln_x if top > 0.0 else n
+        n = max(n, math.ceil(v)) if v < cap else cap
+    else:  # the product exceeds tol at last
+        step = 1
+        while over(n := min(cap, last + step)):
+            if n == cap:
+                raise DivergenceError(f"series did not settle within {_MAX_TERMS} terms")
+            last, step = n, 2 * step
+        while n - last > 1:
+            mid = (last + n) // 2
+            last, n = (mid, n) if over(mid) else (last, mid)
+    while n > 0 and not over(n - 1):
+        n -= 1
     return n + 1, found
 
 
@@ -407,7 +388,7 @@ def _part_terms(found, count: int, prefactor: float) -> Iterator[float]:
     """c prefactor n^k x^n for n < count, part after part: x^n by one product
     per step, then k products by n."""
     parts = []
-    for c, k, x in found:
+    for c, k, x, *_ in found:
         part = accumulate(repeat(x, count - 1), mul, initial=c * prefactor)
         for _ in range(k):
             part = map(mul, range(count), part)
@@ -416,20 +397,17 @@ def _part_terms(found, count: int, prefactor: float) -> Iterator[float]:
 
 
 def _closed_route(scheme: DeformationScheme, ratio: float, tol: float, extra: int):
-    """(N + 1, terms) for a series cut at a closed N, ``terms(prefactor)``
-    making its terms for n = 0..N; None for the adaptive scan.  An ``expr:``
-    law that ``_parts_count`` takes forms them from its parts, without d(n);
-    a built-in law reads N from ``_closed_cutoff`` and d(n) from its column,
-    filled to d(N + extra) unless a value overflows first.
+    """(N + 1, terms) for a series cut at the N of ``_closed_tail``, with
+    ``terms(prefactor)`` making its terms for n = 0..N, from an ``expr:``
+    law's parts or from a built-in law's column, filled to d(N + extra);
+    None for the adaptive scan, also where a value of that column overflows.
     """
-    exact = _parts_count(scheme, ratio, tol)
-    if exact is not None:
-        count, found = exact
-        return count, lambda prefactor: _part_terms(found, count, prefactor)
-    if scheme.kind == CUSTOM:
-        GeometricLaw._check_tail_tol(tol)  # the scan itself does not check it
+    closed = _closed_tail(scheme, ratio, tol)
+    if closed is None:
         return None
-    count = _closed_cutoff(scheme, ratio, tol) + 1
+    count, found = closed
+    if found is not None:
+        return count, lambda prefactor: _part_terms(found, count, prefactor)
     try:
         d = scheme.d_values(count + extra)
     except OverflowError:

@@ -62,14 +62,13 @@ def entanglement_entropy_closed(xi: float) -> float:
 
 
 def nbar_series(spec: SqueezedSpec) -> float:
-    """Mean photon number sum d(n) P_n, by ``weighted_series``.
-
-    A built-in scheme sums to the N whose closed tail is at most tail_tol
-    of the mean.  It raises DivergenceError when max(q, 1/q) tanh^2 xi >= 1,
-    and also for a convergent series whose N passes the 200,000-term cap.
-    If d(n) overflows before N, the adaptive scan takes the series, and the
-    overflow can surface as OverflowError (q = 2, xi = 0.87).  An ``expr:``
-    law is summed from its parts where it has them, else adaptively.
+    """Mean photon number sum d(n) P_n, by ``weighted_series``: to the N
+    whose closed tail is at most tail_tol of the mean, for a built-in law
+    and an ``expr:`` law with parts, else adaptively.  DivergenceError when
+    some part diverges (max(q, 1/q) tanh^2 xi >= 1 for a built-in law) or N
+    passes the 200,000-term cap; a built-in d(n) that overflows before N
+    hands the series to the scan, which can raise OverflowError (q = 2,
+    xi = 0.87).
     """
     law = spec.law
     return weighted_series(spec.scheme, law.r, spec.tail_tol, law.one_minus_r)

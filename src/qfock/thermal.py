@@ -66,14 +66,11 @@ def thermal_nbar_series(spec: ThermalSpec) -> float:
     """Mean occupation sum d(n) P_n through the paired-state machinery.
 
     Builds the geometric paired state, cut at the larger of the
-    probability cutoff and the cutoff of ``weighted_cutoff``, and reads
-    only <a+ a> from its moments, the one sum made.  A built-in scheme
-    raises DivergenceError when theta <= |ln q|, and also for a convergent
-    series whose cutoff passes the 200,000-term cap (q = 2, theta =
-    0.6932097).  If d(n) overflows before the cutoff, the adaptive scan
-    takes the series, and the overflow can surface as OverflowError (q = 2,
-    theta = 0.71).  An ``expr:`` law is cut where the closed tail of its
-    parts says, or where the adaptive scan stops if it has none.
+    probability cutoff and ``weighted_cutoff``, and reads only <a+ a> from
+    its moments, the one sum made.  It raises as ``squeezed.nbar_series``
+    does: DivergenceError when theta <= |ln q| for a built-in law or past
+    the term cap (q = 2, theta = 0.6932097), OverflowError from the scan
+    (q = 2, theta = 0.71).
     """
     state = geometric_state(spec.scheme, spec.law.r, spec.tail_tol)
     return moments(state, spec.scheme).adag_a

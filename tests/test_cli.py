@@ -68,6 +68,21 @@ def test_sweep_thermal_divergent_row_is_flagged(capsys):
     assert row[11] == "divergent;closed-form-skipped"
 
 
+@pytest.mark.parametrize(
+    "q,theta",
+    [("2.2675996019949465", "0.8187218279498036"), ("7.206394345081872", "1.9749687353750394")],
+)
+def test_ulp_split_cell_prints_no_closed_mean_beside_divergent(capsys, q, theta):
+    # max(q, 1/q) r rounds to 1.0 in the first cell, so the series' verdict
+    # is divergent; in the second it is 0.9999999999999999 and 1 - q r
+    # rounds to 0, so the series passes the term cap and the closed form
+    # is lost.  Either way the row has no mean.
+    assert main(["sweep", "thermal", "--scheme", "bm", "--q", q, "--theta", theta]) == 0
+    row = _rows_from_csv(capsys.readouterr().out)[0]
+    assert row[2] == row[3] == ""
+    assert row[11] == "divergent;closed-form-skipped"
+
+
 def test_sweep_thermal_convergent_bm_row(capsys):
     code = main(
         ["sweep", "thermal", "--scheme", "bm", "--q", "2", "--theta", str(THETA_R03)]

@@ -4,17 +4,20 @@
 and corrects it by single steps.  At a boundary ratio r = tol^(1/k) the
 estimate is off by one in either direction, so these cases run both
 correction loops.  The cutoff and the d-weighted series share the term
-cap and the check of their inputs.  A built-in law's series stops where
-its closed tail is at most tol of the whole sum; its edge cases end here.
+cap and the check of their inputs.  Every law with a closed tail, a
+built-in law or an ``expr:`` law with parts, stops through one engine
+where that tail is at most tol of the whole sum; its edge cases, and the
+built-in verdict it shares with the closed mean, end here.
 """
 
 import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qfock import DeformationScheme, DivergenceError, ThermalSpec, thermal_nbar_series
+from qfock import DeformationScheme, DivergenceError, GeometricLaw, ThermalSpec, thermal_nbar_series
+from qfock.deformation import eval_d
 from qfock.geometric import probability_cutoff, weighted_cutoff, weighted_series
 from qfock.squeezed import SqueezedSpec, nbar_series
 
@@ -208,6 +211,24 @@ def test_closed_stop_near_q_one(q, ratio):
     assert abs(mean - float((1 - ratio) * total)) <= 2e-12 * mean
 
 
+def _float_product(scheme, ratio):
+    """x^n part(n), the float product a built-in law's stop tests, with
+    x, y = max(q, 1/q)^(+-1) ratio and lam = |ln q|."""
+    peak, lam = max(scheme.q, 1.0 / scheme.q), abs(scheme.lam)
+    x, y, unit = peak * ratio, ratio / peak, math.expm1(-2.0 * lam)
+
+    def product(n):
+        if lam == 0.0:
+            return x**n * (n + 1 - y * n)
+        return x**n * (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
+
+    return product
+
+
+def _is_minimal_in_the_float_product(product, tol, n):
+    return product(n) <= tol and (n == 0 or tol < product(n - 1))
+
+
 @pytest.mark.parametrize(
     "scheme,ratio,tol,cutoff",
     [
@@ -222,20 +243,77 @@ def test_closed_stop_near_q_one(q, ratio):
     ids=["walk-up", "walk-down"],
 )
 def test_closed_stop_walks_to_the_minimal_float_product(scheme, ratio, tol, cutoff):
-    # The log fixed point lands one below N in the first cell and one above
-    # it in the second, so the walks decide; N is minimal in the float
-    # product x^n part(n) that they test.
-    peak, lam = max(scheme.q, 1.0 / scheme.q), abs(scheme.lam)
-    x, y = peak * ratio, ratio / peak
-
-    def product(n):
-        if lam == 0.0:
-            return x**n * (n + 1 - y * n)
-        unit = math.expm1(-2.0 * lam)
-        return x**n * (math.expm1(-2.0 * (n + 1) * lam) - y * math.expm1(-2.0 * n * lam)) / unit
-
+    # The log fixed point stops one below N in the first cell, where one
+    # doubling step decides; in the second it reaches N, which an earlier
+    # search stepped past and walked back to.  N is minimal in the float
+    # product x^n part(n) that the search tests.
     assert weighted_cutoff(scheme, ratio, tol) == cutoff
-    assert product(cutoff) <= tol < product(cutoff - 1)
+    assert _is_minimal_in_the_float_product(_float_product(scheme, ratio), tol, cutoff)
+
+
+def _first_overflow(scheme):
+    """The first n whose d(n) overflows, or None below 2^20."""
+    lo, hi = 0, 1 << 20
+    try:
+        eval_d(scheme, hi)
+        return None
+    except OverflowError:
+        pass
+    while hi - lo > 1:  # d(lo) is finite, d(hi) overflows
+        mid = (lo + hi) // 2
+        try:
+            eval_d(scheme, mid)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.one_of(st.just(1.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    s=st.floats(0.0, 0.999, exclude_min=True),
+    tol=st.one_of(
+        st.sampled_from([1e-12, 1e-8, 1e-3]),
+        st.floats(-100.0, -1.0).map(lambda e: 10.0**e),
+    ),
+)
+def test_closed_stop_is_minimal_in_the_float_product(q, s, tol):
+    # s = max(q, 1/q) r.  A cell whose column overflows before d(N + 1)
+    # takes the scan, which stops elsewhere; those are skipped.
+    scheme = DeformationScheme.undeformed() if q == 1.0 else DeformationScheme.biedenharn_macfarlane(q)
+    ratio = s / max(q, 1.0 / q)
+    assume(ratio > 0.0)
+    product = _float_product(scheme, ratio)
+    first = _first_overflow(scheme)
+    assume(first is None or product(first - 2) <= tol)
+    try:
+        n = weighted_cutoff(scheme, ratio, tol)
+    except DivergenceError as exc:  # N is past the term cap
+        assert str(exc) == f"series did not settle within {CAP} terms"
+        assert product(CAP - 1) > tol
+        return
+    assert _is_minimal_in_the_float_product(product, tol, n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_q=st.floats(-3.0, 3.0), ulps=st.integers(-4, 4))
+def test_a_divergent_verdict_has_no_closed_mean(log_q, ulps):
+    # r within a few ulps of 1/max(q, 1/q), where the factors 1 - q r and
+    # 1 - r/q of the closed mean and the product max(q, 1/q) r round apart.
+    q = 10.0**log_q
+    r = 1.0 / max(q, 1.0 / q)
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.copysign(math.inf, ulps))
+    assume(0.0 < r < 1.0)
+    law = GeometricLaw.from_theta(-math.log(r))
+    assume(law.r < 1.0)
+    try:
+        weighted_cutoff(DeformationScheme.biedenharn_macfarlane(q), law.r, 1e-12)
+    except DivergenceError as exc:
+        if str(exc).startswith("series diverges"):
+            with pytest.raises(DivergenceError):
+                law.symmetric_nbar(q)
 
 
 @pytest.mark.parametrize("name", BUILT_IN)

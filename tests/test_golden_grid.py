@@ -20,6 +20,8 @@ from qfock import DeformationScheme, entanglement_entropy_closed, thermal_entrop
 from qfock.deformation import eval_d
 from qfock.cli import SweepSpec, run_sweep
 
+from helpers import reference_closed_cutoff
+
 mpmath = pytest.importorskip("mpmath")
 
 BM_Q = [0.5, 0.9, 1.0 - 3e-8, 1.0 + 1.01e-8, 1.0 + 1e-7, 1.1, 1.3, 2.0]
@@ -99,13 +101,14 @@ def test_row_matches_mpmath(family, descriptor, q, param):
 @pytest.mark.parametrize("q,s", [(2.0, 0.973375), (0.5, 0.973375), (3.0, 0.958125)])
 def test_overflow_edge_cells_keep_their_value(q, s):
     # The closed cutoff needs a d(n) past where it overflows (n = 1025 at
-    # q = 2 and 0.5, n = 647 at q = 3); the adaptive scan these cells fall
-    # back to stops just before it, with the value these rows always had.
+    # q = 2 and 0.5, n = 647 at q = 3, by the 50-digit reference); the
+    # adaptive scan these cells fall back to stops just before it, with the
+    # value these rows always had.
     r = s / max(q, 1.0 / q)
     param = math.atanh(math.sqrt(r))
     scheme = DeformationScheme.biedenharn_macfarlane(q)
     with pytest.raises(OverflowError):
-        eval_d(scheme, qfock.geometric._closed_cutoff(scheme, r, 1e-12))
+        eval_d(scheme, reference_closed_cutoff(scheme, r, 1e-12))
     (row,) = run_sweep(SweepSpec("squeezed", "bm", (q,), (param,)))
     nbar = _reference("squeezed", q, param)[0]
     assert row.status == "convergent"
