@@ -250,7 +250,7 @@ def _weighted_terms(
 def _pair_ratio(q: float, ratio: float) -> float:
     """x = max(q, 1/q) ratio, the larger of the symmetric pair's ratios, or
     DivergenceError when x >= 1: the one verdict on a built-in law."""
-    x = max(q, 1.0 / q) * ratio
+    x = (q if q >= 1.0 else 1.0 / q) * ratio
     if x >= 1.0:
         raise DivergenceError(f"series diverges: max(q, 1/q) * r = {x!r} >= 1", ratio=x)
     return x
@@ -276,9 +276,9 @@ def _closed_tail(scheme: DeformationScheme, ratio: float, tol: float):
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     GeometricLaw._check_tail_tol(tol)
     if scheme.kind != CUSTOM:
-        found, peak = None, _pair_ratio(scheme.q, ratio)
-        y, lam = ratio / max(scheme.q, 1.0 / scheme.q), abs(scheme.lam)
-        unit = math.expm1(-2.0 * lam)
+        q, lam = scheme.q, abs(scheme.lam)
+        found, peak = None, _pair_ratio(q, ratio)
+        y, unit = ratio / (q if q >= 1.0 else 1.0 / q), math.expm1(-2.0 * lam)
 
         def bound(n: int) -> tuple[float, float]:
             if lam == 0.0:
