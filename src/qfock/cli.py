@@ -10,8 +10,8 @@ Subcommands::
 
 Number lists come from flag text ("0.5,2"; "-1,1" is a value, not an
 option) or from the JSON object of a sweep's ``--config`` (keys: the sweep
-options; flags win).  Every q, for every scheme, and ``verify --tol`` must
-be finite and positive.
+options; flags win).  Every q and ``verify --tol`` must be finite and
+positive, and ``parse --n`` a nonnegative integer.
 
 Exit codes: 0 success, 1 usage/parse error, 2 verification failure,
 3 I/O error.  Sweep output is deterministic: fixed row order (q-major,
@@ -379,7 +379,8 @@ def _cmd_parse(args) -> int:
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
             raise ValueError("--q and --n must be given together")
-        payload["value"] = evaluate_tree(tree, args.q, float(args.n))
+        q, n = DeformationScheme._checked_q(args.q), DeformationScheme._checked_n(args.n)
+        payload["value"] = evaluate_tree(tree, q, float(n))
     sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 

@@ -20,14 +20,14 @@ Schemes of one law text share one tree.
 
 Each scheme instance carries its own column d(0), d(1), ..., filled on
 demand and shared by everything that reads the scheme, so a sweep that
-resolves one scheme per q evaluates each d(n) of that column once.  The
-column asks ``_block`` for every band of values it adds: for a built-in
-law the one-pass sinh band, its only evaluator, and for a custom law one
-walk of its tree over the band (``expressions.evaluate_band``).  A band
-that fails is read again in halves down to the first n that fails, and
-``eval_d`` reads that one value, so every failure is raised there, naming
-n; ``eval_d`` reads one value as a built-in band of one, or as
-``expressions.evaluate_tree``.
+resolves one scheme per q evaluates each d(n) of that column once.  A
+request grows the column to its count and no further, by one ``_block``
+band: for a built-in law the one-pass sinh band, its only evaluator, and
+for a custom law one walk of its tree (``expressions.evaluate_band``).
+A band fails only where a value fails or is not finite, so a failed band
+is read again in halves down to the first n that fails, where ``eval_d``
+(a built-in band of one, or ``expressions.evaluate_tree``) raises, naming
+n.  A reader that wants values ahead, as the adaptive scan does, asks.
 A custom scheme also keeps its law's exponential-polynomial parts at its
 q (``parts``), found on the first series call; they are coefficients,
 not values of d(n).
@@ -65,7 +65,6 @@ _KINDS = (UNDEFORMED, BIEDENHARN_MACFARLANE, CUSTOM)
 
 _PROBE_TOL = 1e-12
 _SINH_ARG_MAX = math.asinh(sys.float_info.max)  # 710.4758600739439
-_AHEAD = 64  # values a one-value growth of a custom column reads
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,21 @@ class DeformationScheme:
         """q as a float; ValueError unless it is finite and positive.
 
         The one check of q in the package: schemes, ``cli.resolve_scheme``
-        (for every descriptor, ``undeformed`` included) and the closed forms
-        through ``GeometricLaw.symmetric_nbar`` all call it.
+        (for every descriptor, ``undeformed`` included), ``qfock parse`` and
+        the closed forms through ``GeometricLaw.symmetric_nbar`` all call it.
         """
         value = float(q)
         if not 0.0 < value < math.inf:
             raise ValueError(f"q must be finite and positive, got {q!r}")
         return value
+
+    @staticmethod
+    def _checked_n(n) -> int:
+        """n as an int; ValueError unless it is a nonnegative integer (the
+        check of ``eval_d`` and ``qfock parse``)."""
+        if not 0 <= n < math.inf or n != int(n):
+            raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
+        return int(n)
 
     def _probe(self):
         for n, want in ((0, 0.0), (1, 1.0)):
@@ -152,45 +159,35 @@ class DeformationScheme:
     def d_values(self, count: int) -> list[float]:
         """The column d(0), d(1), ..., grown to at least ``count`` values,
         in order, and returned itself (read-only; it may already be longer).
-        The values are added as one band of ``_block``; a band that fails
-        is read again in halves, which finds its longest prefix that
-        passes in about log2(band) reads, and only the first n past that
-        prefix goes to ``eval_d``.  A one-value growth of a custom column,
-        as the scan makes them, reads a band of ``_AHEAD`` values, and
-        ``eval_d`` is called only below the requested count, so a value
-        past the request never raises.  If d(n) fails, d(0..n-1) are kept
-        and the error propagates; the next call that needs d(n) raises it
-        again.
+        The values are added as one band of ``_block`` that ends at count,
+        so no d(n) at n >= count is evaluated.  A band that fails is read
+        again in halves for its longest prefix that passes (about log2(band)
+        reads), which is kept, and ``eval_d`` raises at the n past it; the
+        next call that needs d(n) raises it again.
         """
         column = self._column
         start = n = len(column)
         if n < count:
-            ahead = self.kind == CUSTOM and count == n + 1
-            stop = bad = n + _AHEAD if ahead else count
-            new = self._block(n, stop)
-            n += len(new)
-            try:
-                while n < count:  # d(n..bad-1) failed as one band or is unread
+            # Slices, not appends: another thread's longer growth is kept (the values agree).
+            new = self._block(n, count)
+            if not new:
+                bad = count  # d(n..bad-1) fails as one band
+                while bad > n + 1:
                     half = (n + bad + 1) // 2
-                    if bad == n + 1:
-                        # Raises, unless only a built-in band's sum overflowed.
-                        new.append(eval_d(self, n))
-                        n, bad = n + 1, stop
-                    elif band := self._block(n, half):
+                    if band := self._block(n, half):
                         new += band
                         n = half
                     else:
                         bad = half
-            finally:
-                # Another thread may have grown the column meanwhile; the
-                # values agree, so the slice only ever lengthens it.
                 column[start:n] = new
+                eval_d(self, n)  # raises: d(n) is the first value that fails
+            column[start:count] = new
         return column
 
     def _block(self, start: int, stop: int) -> list[float]:
         """d(start..stop-1) as one band, or [] if any of them fails or is not
-        finite, so that ``eval_d`` raises.  A custom law's band is one walk
-        of its tree (``expressions.evaluate_band``).  A built-in law's is
+        finite, as ``eval_d`` then does at that n.  A custom law's band is one
+        walk of its tree (``expressions.evaluate_band``).  A built-in law's is
         its only evaluator: with lam = |ln q|, sinh(m lam) / sinh(lam) while
         m lam is in sinh's range, the exponential form past it, and m itself
         at lam = 0."""
@@ -211,9 +208,8 @@ class DeformationScheme:
             ]
         except OverflowError:
             return []
-        # inf or nan makes the sum non-finite; a finite block whose sum
-        # overflows is read again in halves, each value by the same form.
-        return block if math.isfinite(sum(block)) else []
+        # A finite sum is the fast test; a sum that overflows is checked value by value.
+        return block if math.isfinite(sum(block)) or all(map(math.isfinite, block)) else []
 
     @property
     def label(self) -> str:
@@ -227,12 +223,7 @@ def eval_d(scheme: DeformationScheme, n: int) -> float:
     """Deformation value d(n) for occupation number n >= 0: a custom law's
     tree, or a built-in law's band of one value, with OverflowError naming
     n and q when that band is not finite."""
-    try:
-        m = int(n)
-    except (OverflowError, ValueError):  # an infinite or NaN n
-        m = -1  # rejected below, as a negative n is
-    if m != n or m < 0:
-        raise ValueError(f"occupation number must be a nonnegative integer, got {n!r}")
+    m = DeformationScheme._checked_n(n)
     if scheme.kind == CUSTOM:
         return evaluate_tree(scheme.expr, scheme.q, float(m))
     band = scheme._block(m, m + 1)

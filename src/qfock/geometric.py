@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _GROWTH_PATIENCE = 32
+_AHEAD = 64  # d(n) values the adaptive scan reads past its index
 _MAX_TERMS = 200_000
 # Largest sum_j |c_j| Li_{-k_j}(x_j) over |S| at which an expr: law's
 # parts are summed: past it they cancel, and the law takes the scan.
@@ -201,9 +202,9 @@ def _weighted_terms(
     zero term in a row at n >= 1.  It raises DivergenceError for a NaN
     term, naming n, and for a term magnitude that fails to decrease over 32
     consecutive steps (growth ratios >= 1 caught without any scheme-
-    specific analysis).  d(n) is read from the scheme's column, grown one
-    value at a time, so no d(n) past the stop is evaluated.  No term is
-    stored.
+    specific analysis).  d(n) is read from the scheme's column, grown
+    _AHEAD values past n; a d(n) that fails raises only once the scan
+    reaches it, so no value past the stop raises.  No term is stored.
     """
     if ratio == 0.0:
         return
@@ -213,7 +214,12 @@ def _weighted_terms(
     growth_run = zero_run = 0
     for n in range(_MAX_TERMS):
         if n >= known:
-            known = len(scheme.d_values(n + 1))
+            try:
+                scheme.d_values(n + _AHEAD)
+            except ArithmeticError:
+                if len(d) == n:  # d(n) itself fails
+                    raise
+            known = len(d)
         t = d[n] * prefactor * ratio**n
         yield t
         running += t

@@ -658,6 +658,7 @@ SINH_TEXT = "expr:sinh(n*ln(q))/sinh(ln(q))"
 QUADRATIC_TEXT = "expr:n + (q - 1)*n*(n - 1)/2"
 # the ln of a subtree in n leaves the law without parts
 SCAN_TEXT = "expr:n + 0*ln(2 + n)"
+FAILS_AT_40_TEXT = "expr:39*n/(40 - n)"
 
 
 @pytest.mark.parametrize(
@@ -677,6 +678,10 @@ SCAN_TEXT = "expr:n + 0*ln(2 + n)"
         pytest.param("thermal", SCAN_TEXT, 1.0, 2.0, id="thermal-scan-2"),
         pytest.param("squeezed", SCAN_TEXT, 1.0, 0.6, id="squeezed-scan-0.6"),
         pytest.param("squeezed", SCAN_TEXT, 1.0, 1.5, id="squeezed-scan-1.5"),
+        # a law without parts that fails at n = 40, past where the scan
+        # stops: its look-ahead reads d(40), which must not raise
+        pytest.param("squeezed", FAILS_AT_40_TEXT, 1.0, 0.3, id="squeezed-fails-at-40"),
+        pytest.param("thermal", FAILS_AT_40_TEXT, 1.0, 2.0, id="thermal-fails-at-40"),
     ],
 )
 def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q, param):
@@ -693,6 +698,8 @@ def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q
             want = r / (1 - r)
         elif scheme == QUADRATIC_TEXT:
             want = r / (1 - r) + (mq - 1) * r**2 / (1 - r) ** 2
+        elif scheme == FAILS_AT_40_TEXT:  # r^40 is below 1e-34 in both cells
+            want = (1 - r) * mpmath.fsum(39 * k * r**k / (40 - k) for k in range(40))
         else:
             want = r * (1 - r) / ((1 - mq * r) * (1 - r / mq))
         assert abs(row["nbar_series"] - want) <= 1e-10 * abs(want)
@@ -712,6 +719,26 @@ def test_built_in_value_past_sinh_range_is_not_an_overflow(capsys):
 
 def test_parse_eval_needs_both_flags(capsys):
     assert main(["parse", "n", "--q", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "q, n, line",
+    [
+        ("-1", "2", "error: q must be finite and positive, got -1.0"),
+        ("0", "2", "error: q must be finite and positive, got 0.0"),
+        ("nan", "2", "error: q must be finite and positive, got nan"),
+        ("inf", "2", "error: q must be finite and positive, got inf"),
+        ("2", "-3", "error: occupation number must be a nonnegative integer, got -3"),
+        # q is checked first
+        ("-1", "-3", "error: q must be finite and positive, got -1.0"),
+    ],
+)
+def test_parse_eval_checks_q_and_n_as_a_scheme_does(capsys, q, n, line):
+    # a point no scheme can take: q and n are checked as schemes and eval_d
+    # check them, before the law is evaluated
+    for expression in ("q", "n"):
+        assert main(["parse", expression, "--q", q, "--n", n]) == 1
+        _assert_one_error_line(capsys.readouterr(), line)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -40,8 +40,9 @@ QUADRATIC = "n + (q - 1)*n*(n - 1)/2"
 # from its parts (ln of a subtree in n), so the law takes the scan.
 SCAN_ONLY = " + 0*ln(2 + n)"
 FAILS_AT_3 = "2*n/(3 - n)"  # d(0) = 0, d(1) = 1, d(2) = 4, division by zero at n = 3
-# Fails at n = 40, past where the scan stops for small r: a column that
-# evaluated ahead of the scan would raise where one call per term does not.
+# Fails at n = 40, past where the scan stops for small r: the scan's
+# look-ahead reads that far, yet must raise d(40) only on reaching n = 40,
+# as one call per term would.
 FAILS_AT_40 = "39*n/(40 - n)"
 
 SCHEMES = {
@@ -167,19 +168,15 @@ def test_scan_routes_equal_reference_on_any_cell(name, ratio, tol, prefactor):
     assert _outcome(weighted_cutoff, make(), ratio, tol) == want_cutoff
 
 
-def test_nan_term_ends_the_scan_naming_n(monkeypatch):
-    scheme = SCAN_SCHEMES["odd-ones"]()
-    counts = []
-    d_values = DeformationScheme.d_values
-
-    def counted(scheme, count):
-        counts.append(count)
-        return d_values(scheme, count)
-
-    monkeypatch.setattr(DeformationScheme, "d_values", counted)
-    with pytest.raises(DivergenceError, match=r"^series term is NaN at n=2$"):
-        weighted_series(scheme, UNDERFLOW_RATIO, 1e-12, HUGE_PREFACTOR)
-    assert max(counts) <= 3  # no d(n) past n = 2 was asked for
+def test_nan_term_ends_the_scan_naming_n():
+    # The second law is the first times 2/(3 - n), so d(1) = 1 still, and
+    # d(3) divides by zero: the scan reads it ahead of its index, but the
+    # NaN term at n = 2 ends the scan first.
+    for law in ("n^(1 + (-1)^n)", "2*n^(1 + (-1)^n)/(3 - n)"):
+        scheme = DeformationScheme.custom(law, 1.0)
+        with pytest.raises(DivergenceError, match=r"^series term is NaN at n=2$"):
+            weighted_series(scheme, UNDERFLOW_RATIO, 1e-12, HUGE_PREFACTOR)
+    assert scheme.d_values(0) == [0.0, 1.0, 8.0]
 
 
 def test_scan_property_examples_reach_their_branches():
@@ -271,6 +268,46 @@ def test_column_stops_before_the_first_failing_value():
     assert failing.d_values(0) == [0.0, 1.0, 4.0]
 
 
+def _counted_reads(monkeypatch):
+    """The (start, stop) of every band ``_block`` reads from now on."""
+    reads = []
+    block = DeformationScheme._block
+
+    def counted_block(scheme, start, stop):
+        reads.append((start, stop))
+        return block(scheme, start, stop)
+
+    monkeypatch.setattr(DeformationScheme, "_block", counted_block)
+    return reads
+
+
+@pytest.mark.parametrize("name", ["quadratic-0.7499", "fails-at-40", "bm-1.3"])
+def test_a_request_evaluates_no_value_past_its_count(monkeypatch, name):
+    """``d_values(count)`` reads bands that end at ``count`` at most: a
+    one-value growth reads one value, and a request that fails, none past
+    it either."""
+    scheme = SCHEMES[name]()
+    reads = _counted_reads(monkeypatch)
+    for count in range(1, 41):
+        scheme.d_values(count)
+    assert reads == [(n, n + 1) for n in range(40)]
+    try:
+        scheme.d_values(41)
+    except EvaluationError as exc:
+        assert name == "fails-at-40" and "n=40" in str(exc)
+    assert reads[40:] == [(40, 41)]
+    assert len(scheme.d_values(0)) == (40 if name == "fails-at-40" else 41)
+
+
+def test_verify_evaluates_no_value_past_its_dim(monkeypatch):
+    # The ladder reads d(0..dim-1), then a a+ reads d(dim).
+    scheme = DeformationScheme.custom(QUADRATIC, 1.5)
+    reads = _counted_reads(monkeypatch)
+    assert verify_algebra(scheme, 256, 1e-10).passed
+    assert reads == [(0, 256), (256, 257)]
+    assert len(scheme.d_values(0)) == 257
+
+
 @pytest.mark.parametrize(
     "name, count, first_bad, error",
     [
@@ -288,18 +325,12 @@ def test_failed_band_is_read_in_halves(monkeypatch, name, count, first_bad, erro
     make = SCHEMES[name]
     fresh, scheme = make(), make()  # a custom law's probes call eval_d
     want = [float.hex(eval_d(fresh, n)) for n in range(first_bad)]
-    reads, calls = [], []
-    block = DeformationScheme._block
-
-    def counted_block(scheme, start, stop):
-        reads.append((start, stop))
-        return block(scheme, start, stop)
+    reads, calls = _counted_reads(monkeypatch), []
 
     def counted(scheme, n):
         calls.append(n)
         return eval_d(scheme, n)
 
-    monkeypatch.setattr(DeformationScheme, "_block", counted_block)
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
     with pytest.raises(error, match=f"n={first_bad}[^0-9]"):
         scheme.d_values(count)
@@ -391,7 +422,7 @@ def test_ladder_of_a_built_in_law_makes_no_eval_d_call(monkeypatch):
     monkeypatch.setattr(qfock.deformation, "eval_d", counted)
     annihilation_matrix(DeformationScheme.biedenharn_macfarlane(1.3), 512)
     annihilation_matrix(DeformationScheme.undeformed(), 512)
-    # One-value growths, as the scan makes them, read the same band.
+    # One-value growths read a band of one value each, by the same form.
     for scheme in (DeformationScheme.biedenharn_macfarlane(1.3), DeformationScheme.undeformed()):
         for n in range(601):
             scheme.d_values(n + 1)
