@@ -202,9 +202,9 @@ def _weighted_terms(
     zero term in a row at n >= 1.  It raises DivergenceError for a NaN
     term, naming n, and for a term magnitude that fails to decrease over 32
     consecutive steps (growth ratios >= 1 caught without any scheme-
-    specific analysis).  d(n) is read from the scheme's column, grown
-    _AHEAD values past n; a d(n) that fails raises only once the scan
-    reaches it, so no value past the stop raises.  No term is stored.
+    specific analysis).  At the column's end it reads d(n) alone, which
+    raises if it fails, then _AHEAD values ahead, whose failure waits for
+    the scan to reach it: no value past the stop raises.  No term is stored.
     """
     if ratio == 0.0:
         return
@@ -214,11 +214,11 @@ def _weighted_terms(
     growth_run = zero_run = 0
     for n in range(_MAX_TERMS):
         if n >= known:
+            scheme.d_values(n + 1)  # d(n) itself: raises where it fails
             try:
                 scheme.d_values(n + _AHEAD)
             except ArithmeticError:
-                if len(d) == n:  # d(n) itself fails
-                    raise
+                pass  # a value past n fails: raised when the scan reaches it
             known = len(d)
         t = d[n] * prefactor * ratio**n
         yield t
@@ -325,7 +325,7 @@ def _closed_tail(scheme: DeformationScheme, ratio: float, tol: float):
             try:
                 total = abs(math.fsum(pieces))
             except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
-                return None
+                total = math.inf
             if not 0.0 < total < math.inf or not spread <= _CANCELLATION * total:
                 return None
 
@@ -402,11 +402,11 @@ def _part_terms(found, count: int, prefactor: float) -> Iterator[float]:
     return chain.from_iterable(parts)
 
 
-def _closed_route(scheme: DeformationScheme, ratio: float, tol: float, extra: int):
+def _closed_route(scheme: DeformationScheme, ratio: float, tol: float):
     """(N + 1, terms) for a series cut at the N of ``_closed_tail``, with
     ``terms(prefactor)`` making its terms for n = 0..N, from an ``expr:``
-    law's parts or from a built-in law's column, filled to d(N + extra);
-    None for the adaptive scan, also where a value of that column overflows.
+    law's parts or from a built-in law's column, filled to d(N) only; None
+    for the adaptive scan, also where one of those d(n) overflows.
     """
     closed = _closed_tail(scheme, ratio, tol)
     if closed is None:
@@ -415,7 +415,7 @@ def _closed_route(scheme: DeformationScheme, ratio: float, tol: float, extra: in
     if found is not None:
         return count, lambda prefactor: _part_terms(found, count, prefactor)
     try:
-        d = scheme.d_values(count + extra)
+        d = scheme.d_values(count)
     except OverflowError:
         return None
 
@@ -435,7 +435,7 @@ def weighted_series(
     """Sum of d(n) * prefactor * ratio^n: the terms of ``_closed_route`` in
     one ``math.fsum``, where a term that is not finite raises
     DivergenceError naming n, else the adaptive scan's."""
-    route = _closed_route(scheme, ratio, tol, 0)
+    route = _closed_route(scheme, ratio, tol)
     if route is None:
         return math.fsum(_weighted_terms(scheme, ratio, tol, prefactor))
     count, terms = route
@@ -445,9 +445,9 @@ def weighted_series(
 def weighted_cutoff(scheme: DeformationScheme, ratio: float, tol: float) -> int:
     """Index beyond which d-weighted geometric terms are negligible: the N
     of ``_closed_route``, found without forming a term (a built-in law's
-    column filled to d(N + 1) for the state cut there), else the scan's
+    column filled to d(N), as for ``weighted_series``), else the scan's
     last."""
-    route = _closed_route(scheme, ratio, tol, 1)
+    route = _closed_route(scheme, ratio, tol)
     if route is None:
         return max(0, sum(1 for _ in _weighted_terms(scheme, ratio, tol, 1.0 - ratio)) - 1)
     return route[0] - 1

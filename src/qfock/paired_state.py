@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .deformation import DeformationScheme
@@ -70,24 +71,29 @@ class MomentSet:
     adag_a  = <a+ a>        a_adag          = <a a+>
     a_atilde = <a a~>       adag_atildedag  = <a+ a~+>
 
-    ``coeffs`` are the state's c_n and ``d`` is d(0..cutoff+1).
+    ``coeffs`` are the state's c_n and ``scheme`` gives d(n).  On its first
+    read a moment reads only the d(n) it sums: adag_a d(0..cutoff), a_adag
+    d(1..cutoff+1), a_atilde d(1..cutoff).
     """
 
     coeffs: tuple[float, ...]
-    d: Sequence[float]
+    scheme: DeformationScheme
 
     @cached_property
     def adag_a(self) -> float:
-        return math.fsum(dn * cn * cn for dn, cn in zip(self.d, self.coeffs))
+        d = self.scheme.d_values(len(self.coeffs))
+        return math.fsum(dn * cn * cn for dn, cn in zip(d, self.coeffs))
 
     @cached_property
     def a_adag(self) -> float:
-        return math.fsum(dn * cn * cn for dn, cn in zip(self.d[1:], self.coeffs))
+        d = self.scheme.d_values(len(self.coeffs) + 1)
+        return math.fsum(dn * cn * cn for dn, cn in zip(islice(d, 1, None), self.coeffs))
 
     @cached_property
     def a_atilde(self) -> float:
         c = self.coeffs
-        return math.fsum(dn * cp * cn for dn, cp, cn in zip(self.d[1:], c, c[1:]))
+        d = self.scheme.d_values(len(c))
+        return math.fsum(dn * cp * cn for dn, cp, cn in zip(islice(d, 1, None), c, c[1:]))
 
     @property
     def adag_atildedag(self) -> float:
@@ -113,12 +119,10 @@ def moments(state: PairedDiagonalState, scheme: DeformationScheme) -> MomentSet:
         <a a~>  = <a+ a~+> = sum d(n) c_{n-1} c_n
 
     The cross moment follows from a a~ |n, n~> = d(n) |n-1, n~-1> and the
-    orthogonality of the pair basis.  The column d(0..cutoff+1) is read
-    here, so a d(n) that fails raises here; each sum runs when its moment
-    is first read.
+    orthogonality of the pair basis.  No d(n) is read here: each sum reads
+    its own d(n) and runs when its moment is first read.
     """
-    c = state.coeffs
-    return MomentSet(c, scheme.d_values(len(c) + 1)[: len(c) + 1])
+    return MomentSet(state.coeffs, scheme)
 
 
 def quadrature_variances(m: MomentSet) -> tuple[float, float]:

@@ -66,8 +66,8 @@ def thermal_nbar_series(spec: ThermalSpec) -> float:
     """Mean occupation sum d(n) P_n through the paired-state machinery.
 
     Builds the geometric paired state, cut at the larger of the
-    probability cutoff and ``weighted_cutoff``, and reads only <a+ a> from
-    its moments, the one sum made.  It raises as ``squeezed.nbar_series``
+    probability cutoff and ``weighted_cutoff``, and sums only <a+ a>, over
+    d(0..cutoff), from its moments.  It raises as ``squeezed.nbar_series``
     does: DivergenceError when theta <= |ln q| for a built-in law or past
     the term cap (q = 2, theta = 0.6932097), OverflowError from the scan
     (q = 2, theta = 0.71).

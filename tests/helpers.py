@@ -262,17 +262,17 @@ def reference_closed_cutoff(scheme, ratio, tol):
         return hi
 
 
-def reference_closed_scan(scheme, ratio, tol, prefactor, extra=0):
+def reference_closed_scan(scheme, ratio, tol, prefactor):
     """Reference for a built-in law's series: (fsum of terms, last index N).
 
-    N is ``reference_closed_cutoff``'s; every d(n) up to N + extra comes
-    from one ``eval_d`` call, and one that overflows hands the cell to
-    ``reference_weighted_scan``.  A term that is not finite ends it with
-    DivergenceError naming n; finite terms whose sum overflows name N.
+    N is ``reference_closed_cutoff``'s; every d(n) up to N, and none past
+    it, comes from one ``eval_d`` call, and one that overflows hands the
+    cell to ``reference_weighted_scan``.  A term that is not finite ends it
+    with DivergenceError naming n; finite terms whose sum overflows name N.
     """
     last = reference_closed_cutoff(scheme, ratio, tol)
     try:
-        d = [eval_d(scheme, n) for n in range(last + 1 + extra)]
+        d = [eval_d(scheme, n) for n in range(last + 1)]
     except OverflowError:
         return reference_weighted_scan(scheme, ratio, tol, prefactor)
     terms = [d[n] * prefactor * ratio**n for n in range(last + 1)]

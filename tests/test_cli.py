@@ -659,6 +659,7 @@ QUADRATIC_TEXT = "expr:n + (q - 1)*n*(n - 1)/2"
 # the ln of a subtree in n leaves the law without parts
 SCAN_TEXT = "expr:n + 0*ln(2 + n)"
 FAILS_AT_40_TEXT = "expr:39*n/(40 - n)"
+FAILS_AT_33_TEXT = "expr:n + 0*ln(33 - n)"
 
 
 @pytest.mark.parametrize(
@@ -682,6 +683,15 @@ FAILS_AT_40_TEXT = "expr:39*n/(40 - n)"
         # stops: its look-ahead reads d(40), which must not raise
         pytest.param("squeezed", FAILS_AT_40_TEXT, 1.0, 0.3, id="squeezed-fails-at-40"),
         pytest.param("thermal", FAILS_AT_40_TEXT, 1.0, 2.0, id="thermal-fails-at-40"),
+        # the scan stops at n = 32, and d(33) fails: the thermal state's
+        # moments read d(0..32), no further
+        pytest.param("thermal", FAILS_AT_33_TEXT, 1.0, 1.0, id="thermal-fails-at-33"),
+        # built-in laws whose closed cutoff N is the last n before d(n)
+        # overflows (N + 1 = 1025 at q = 2 and 0.5, 647 at q = 3; theta
+        # bisected to that edge): the row reads d(0..N), no further
+        pytest.param("thermal", "bm", 2.0, 0.7201392303193198, id="thermal-bm-2-edge"),
+        pytest.param("thermal", "bm", 0.5, 0.7201392303193198, id="thermal-bm-0.5-edge"),
+        pytest.param("thermal", "bm", 3.0, 1.1413928494420187, id="thermal-bm-3-edge"),
     ],
 )
 def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q, param):
@@ -694,7 +704,7 @@ def test_expression_cell_reads_convergent_within_1e_10(capsys, family, scheme, q
     with mpmath.workdps(40):
         x, mq = mpmath.mpf(param), mpmath.mpf(q)
         r = mpmath.tanh(x) ** 2 if family == "squeezed" else mpmath.exp(-x)
-        if scheme in ("expr:n", SCAN_TEXT):
+        if scheme in ("expr:n", SCAN_TEXT, FAILS_AT_33_TEXT):
             want = r / (1 - r)
         elif scheme == QUADRATIC_TEXT:
             want = r / (1 - r) + (mq - 1) * r**2 / (1 - r) ** 2

@@ -26,7 +26,7 @@ from qfock.deformation import eval_d
 from qfock import expressions
 from qfock.expressions import FUNCTIONS
 from qfock.cli import SweepSpec, run_sweep
-from qfock.geometric import weighted_cutoff, weighted_series
+from qfock.geometric import _weighted_terms, weighted_cutoff, weighted_series
 
 from helpers import (
     reference_closed_scan,
@@ -82,20 +82,17 @@ def _column_scan(scheme, ratio, tol):
     return total, weighted_cutoff(scheme, ratio, tol)
 
 
-def _reference(scheme, ratio, tol, prefactor, extra=0):
+def _reference(scheme, ratio, tol, prefactor):
     """(total, last index) by the per-call reference of the scheme's route."""
     if scheme.kind == "custom":
         return reference_weighted_scan(scheme, ratio, tol, prefactor)
-    return reference_closed_scan(scheme, ratio, tol, prefactor, extra)
+    return reference_closed_scan(scheme, ratio, tol, prefactor)
 
 
 def _reference_scan(scheme, ratio, tol):
-    """The reference of ``_column_scan``: a built-in law's cutoff needs
-    d(N + 1) too, for the state cut there."""
-    total, last = _reference(scheme, ratio, tol, 1.0 - ratio)
-    if scheme.kind != "custom":
-        last = _reference(scheme, ratio, tol, 1.0 - ratio, extra=1)[1]
-    return total, last
+    """The reference of ``_column_scan``: the series and its cutoff read
+    the same d(0..N)."""
+    return _reference(scheme, ratio, tol, 1.0 - ratio)
 
 
 @pytest.mark.parametrize("name", SCHEMES)
@@ -306,6 +303,39 @@ def test_verify_evaluates_no_value_past_its_dim(monkeypatch):
     assert verify_algebra(scheme, 256, 1e-10).passed
     assert reads == [(0, 256), (256, 257)]
     assert len(scheme.d_values(0)) == 257
+
+
+def test_scan_reads_a_failure_found_before_it_once(monkeypatch):
+    """A request past n = 1025 keeps d(0..1024) and raises d(1025); the
+    scan that reaches n = 1025 then reads that one value, and ``eval_d``
+    raises it, with no fresh band past it to search in halves."""
+    scheme = SCHEMES["bm-2"]()
+    with pytest.raises(OverflowError, match="n=1025"):
+        scheme.d_values(1100)
+    reads = _counted_reads(monkeypatch)
+    with pytest.raises(OverflowError, match=r"overflowed at n=1025 \(q=2\.0\)"):
+        sum(_weighted_terms(scheme, 0.499, 1e-12, 0.501))
+    assert reads == [(1025, 1026)] * 2
+
+
+@pytest.mark.parametrize("name", ["bm-1.3", "quadratic-0.7499"])
+def test_moments_read_only_the_values_each_sum_uses(monkeypatch, name):
+    """``moments`` reads no d(n).  Each moment reads, on its first read,
+    the d(n) it sums: <a+ a> and <a a~> d(0..cutoff), <a a+> d(cutoff + 1)
+    too."""
+    state = geometric_state(SCHEMES[name](), 0.3, 1e-12)
+    end = len(state.coeffs)
+    want = reference_moments(state, SCHEMES[name]())
+    scheme = SCHEMES[name]()
+    reads = _counted_reads(monkeypatch)
+    m = moments(state, scheme)
+    assert reads == [] and len(scheme.d_values(0)) == 0
+    assert m.adag_a == want[0]
+    assert reads == [(0, end)] and len(scheme.d_values(0)) == end
+    m.a_atilde
+    assert reads == [(0, end)]
+    m.a_adag
+    assert reads == [(0, end), (end, end + 1)]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qfock import DeformationScheme, DivergenceError, GeometricLaw, ThermalSpec, thermal_nbar_series
 from qfock.deformation import eval_d
-from qfock.geometric import probability_cutoff, weighted_cutoff, weighted_series
+from qfock.geometric import _closed_tail, probability_cutoff, weighted_cutoff, weighted_series
 from qfock.squeezed import SqueezedSpec, nbar_series
 
 from helpers import reference_closed_cutoff, reference_closed_scan, reference_weighted_scan
@@ -404,3 +404,12 @@ def test_parts_that_cancel_take_the_scan():
     want = reference_weighted_scan(DeformationScheme.custom(BM_TEXT, 1.0 + 1e-9), 0.5, 1e-12, 0.5)
     assert weighted_series(scheme, 0.5, 1e-12, 0.5) == want[0]
     assert weighted_cutoff(scheme, 0.5, 1e-12) == want[1]
+    # Sums of +inf and -inf: the parts' total cannot even be formed (fsum
+    # raises), so the law takes the scan, which finds the terms rising.
+    scheme = DeformationScheme.custom("n + 1e300*n*(n - 1)*(n - 2)*(n - 3)", 1.0)
+    assert _closed_tail(scheme, 0.99, 1e-12) is None
+    message = r"^series terms stopped decreasing \(term ratio 1\.12655 >= 1"
+    with pytest.raises(DivergenceError, match=message):
+        weighted_series(scheme, 0.99, 1e-12, 0.01)
+    with pytest.raises(DivergenceError, match=message):
+        weighted_cutoff(scheme, 0.99, 1e-12)

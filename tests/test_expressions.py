@@ -206,6 +206,7 @@ PARTS_CASES = [
     ("n^0.5", 1.0, None),
     ("n^9", 1.0, None),
     ("exp(n^2)", 1.0, None),
+    ("2^(n*n)", 1.0, None),
     ("exp(q^n)", 2.0, None),
     ("q^(n*q^n)", 2.0, None),
     ("(-2)^n", 1.0, None),

@@ -5,6 +5,7 @@ test in this process, stays in ``sys.modules``.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -55,11 +56,12 @@ exit 0
 """
 
 
-def _run(code: str) -> subprocess.CompletedProcess:
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -79,7 +81,7 @@ for argv in {calls!r}:
     print("exit", qfock.cli.main(argv), flush=True)
 print("numpy imported:", sys.modules.get("numpy") is not None)
 """
-    proc = _run(code)
+    proc = _run("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -108,6 +110,7 @@ def test_verify_and_ops_print_the_same_bytes():
 
 def test_matrix_names_load_on_first_access():
     proc = _run(
+        "-c",
         """\
 import sys
 import qfock
@@ -133,9 +136,19 @@ import qfock.cli
 for argv in {SWEEP_CALLS + MATRIX_CALLS!r}:
     print("exit", qfock.cli.main(argv), flush=True)
 """
-    proc = _run(code)
+    proc = _run("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "error: deformation value overflowed at n=1025 (q=2.0)\n"
     sweeps = proc.stdout.removesuffix(MATRIX_OUTPUT)
     assert sweeps + MATRIX_OUTPUT == proc.stdout
     assert hashlib.sha256(sweeps.encode()).hexdigest() == SWEEP_SHA256
+
+
+def test_module_entry_point_exits_with_mains_code():
+    # ``python -m qfock.cli`` passes main's return value to sys.exit
+    proc = _run("-m", "qfock.cli", "parse", "n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["canonical"] == "n"
+    proc = _run("-m", "qfock.cli", "parse")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the following arguments are required: expression\n"
