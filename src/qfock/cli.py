@@ -45,7 +45,7 @@ from .fock_matrix import (
     verify_algebra,
 )
 from .geometric import DivergenceError, GeometricLaw
-from .paired_state import shannon_entropy_bits
+from .paired_state import _distribution_entropy_bits
 from .squeezed import SqueezedSpec, nbar_series, squeezed_probabilities
 from .thermal import ThermalSpec, thermal_nbar_series, thermal_probabilities
 
@@ -167,9 +167,11 @@ def _compute_row(
     if series is not None:
         var1, var2, product = law.variances(series)
 
+    # The law's list is finite and nonnegative as built; only its total,
+    # short of 1 by the tail, can fail the distribution check.
     entropy_series = None
     try:
-        entropy_series = shannon_entropy_bits(probs)
+        entropy_series = _distribution_entropy_bits(probs)
     except ValueError:
         flags.append("entropy-skipped")
 

@@ -110,7 +110,8 @@ class GeometricLaw(NamedTuple):
 
     def probabilities(self, tail_tol: float) -> list[float]:
         """P_n for n = 0..N, cut at the smallest N with r^(N+1) <= tail_tol,
-        so the emitted sum is >= 1 - tail_tol."""
+        so the emitted sum is >= 1 - tail_tol, unless that N is past the
+        200,000-term cap: N is then the cap and the tail r^(N+1) is larger."""
         cutoff = probability_cutoff(self.r, tail_tol)
         omr, r = self.one_minus_r, self.r
         return [omr * r**n for n in range(cutoff + 1)]

@@ -11,6 +11,9 @@ so tracing out the twin mode leaves rho = diag(c_n^2) and the
 entanglement entropy is the Shannon entropy of {c_n^2}.  A state is
 checked once, when it is built (entries and norm); ``from_probabilities``
 also checks each P_n before its square root, to name the first bad one.
+``shannon_entropy_bits`` checks every entry and the total of what it is
+given.  A sweep row's own law list is finite and nonnegative as built, so
+the row checks only its total, through ``_distribution_entropy_bits``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class PairedDiagonalState:
         c = self.coeffs
         if not all(map(math.isfinite, c)) or min(c) < 0.0:
             raise ValueError("coefficients must be finite and nonnegative")
-        total = math.fsum(map(operator.mul, c, c))
+        total = _total(map(operator.mul, c, c))
         if total > 1.0 + _NORM_SLOP:
             raise ValueError(f"squared coefficients sum to {total!r} > 1")
         if 1.0 - total > self.tail_bound + _NORM_SLOP:
@@ -149,14 +152,12 @@ def quadrature_variances(m: MomentSet) -> tuple[float, float]:
 def shannon_entropy_bits(probabilities: Sequence[float]) -> float:
     """Shannon entropy -sum P log2 P in bits, with 0 log 0 = 0.
 
-    The sequence must be a distribution: nonnegative, total within 1e-9
-    of 1.  A point mass gives +0.0, never -0.0.
+    The sequence must be a distribution: every entry finite and
+    nonnegative, total within 1e-9 of 1.  A point mass gives +0.0, never
+    -0.0.  Every entry is checked here; a sweep row, whose law builds its
+    list finite and nonnegative, checks only the total.
     """
-    probs = _checked(probabilities)
-    total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return _entropy_bits(probs)
+    return _distribution_entropy_bits(_checked(probabilities))
 
 
 def reduced_entropy_bits(state: PairedDiagonalState) -> float:
@@ -177,9 +178,29 @@ def _checked(probabilities: Sequence[float]) -> list[float]:
     if not all(map(math.isfinite, probs)) or min(probs, default=0.0) < 0.0:
         # This test fails exactly when some entry does; the loop names the first.
         for n, p in enumerate(probs):
-            if p < 0.0 or not math.isfinite(p):
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite probability P[{n}] = {p!r}")
+            if p < 0.0:
                 raise ValueError(f"negative probability P[{n}] = {p!r}")
     return probs
+
+
+def _total(values: Iterable[float]) -> float:
+    """math.fsum of nonnegative values, inf where the partial sums overflow
+    (fsum raises OverflowError there)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _distribution_entropy_bits(probs: Sequence[float]) -> float:
+    """``_entropy_bits`` of finite nonnegative floats, after checking that
+    they total within 1e-9 of 1 (ValueError otherwise)."""
+    total = _total(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return _entropy_bits(probs)
 
 
 def _entropy_bits(probs: Iterable[float]) -> float:

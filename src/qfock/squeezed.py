@@ -50,8 +50,10 @@ def squeezed_probabilities(spec: SqueezedSpec) -> list[float]:
     """Pair-number law P_n = tanh^2n(xi) / cosh^2(xi), tail-truncated.
 
     Cut at the smallest N whose geometric tail tanh^(2N+2)(xi) is at most
-    tail_tol, so the emitted sum is >= 1 - tail_tol.  The law never sees
-    the scheme, so the output is identical for every deformation.
+    tail_tol, so the emitted sum is >= 1 - tail_tol, or at the
+    200,000-term cap, which leaves a larger tail (``--xi 8`` reads
+    ``cutoff-capped``).  The law never sees the scheme, so the output is
+    identical for every deformation.
     """
     return spec.law.probabilities(spec.tail_tol)
 

@@ -56,8 +56,10 @@ def thermal_probabilities(spec: ThermalSpec) -> list[float]:
     """Pair-number law P_n = (1 - e^-theta) e^(-n theta), tail-truncated.
 
     The prefactor is the reciprocal of the partition function
-    Z = 1 / (1 - e^-theta) of the free Hamiltonian H = omega N.  As with
-    squeezing, the law never sees the scheme.
+    Z = 1 / (1 - e^-theta) of the free Hamiltonian H = omega N.  Cut as
+    the squeezed law is: the emitted sum is >= 1 - tail_tol unless the
+    cutoff reaches the 200,000-term cap (``--theta 1e-7`` reads
+    ``cutoff-capped``).  As with squeezing, the law never sees the scheme.
     """
     return spec.law.probabilities(spec.tail_tol)
 

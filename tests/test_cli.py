@@ -8,7 +8,15 @@ from dataclasses import fields
 
 import pytest
 
-from qfock import cli
+from qfock import (
+    DeformationScheme,
+    SqueezedSpec,
+    ThermalSpec,
+    cli,
+    shannon_entropy_bits,
+    squeezed_probabilities,
+    thermal_probabilities,
+)
 from qfock.cli import (
     CSV_HEADER,
     ResultRow,
@@ -143,6 +151,73 @@ def test_sweep_loose_tail_flags_entropy(capsys):
     row = _rows_from_csv(capsys.readouterr().out)[0]
     assert "entropy-skipped" in row[11]
     assert row[8] == ""
+
+
+def _law_list(family, param, tail_tol):
+    """The probability list a sweep row builds for its cell."""
+    scheme = DeformationScheme.undeformed()
+    if family == "squeezed":
+        return squeezed_probabilities(SqueezedSpec(xi=param, scheme=scheme, tail_tol=tail_tol))
+    return thermal_probabilities(ThermalSpec(theta=param, scheme=scheme, tail_tol=tail_tol))
+
+
+# r^20 = 1.000001e-9: cut at N = 19 (tail_tol 1.00001e-9) the list falls
+# short of 1 by just over the 1e-9 that a distribution may; cut at N = 20
+# (tail_tol 1e-9) it does not.
+_EDGE_R = 1.000001e-9 ** (1 / 20)
+_EDGE = {"squeezed": math.atanh(math.sqrt(_EDGE_R)), "thermal": -math.log(_EDGE_R)}
+# Thermal thetas with the ratios of xi = 1.5 and 2, whose lists cut at
+# 5e-324 end in P_n that round to 0.0; xi = 8 and theta = 1e-7 are capped.
+_ENTROPY_PARAMS = {
+    "squeezed": (0.05, 0.3, 1.0, 1.5, 2.0, 2.5, 8.0, _EDGE["squeezed"]),
+    "thermal": (
+        *(-2 * math.log(math.tanh(xi)) for xi in (1.5, 2.0)),
+        1e-7,
+        1.0,
+        3.0,
+        20.0,
+        _EDGE["thermal"],
+    ),
+}
+
+
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-9, 1.00001e-9, 1e-3, 5e-324])
+@pytest.mark.parametrize("family", ["squeezed", "thermal"])
+def test_row_entropy_is_the_shannon_entropy_of_its_law(family, tail_tol):
+    # the row checks only its list's total; the public function checks all
+    params = _ENTROPY_PARAMS[family]
+    rows = run_sweep(SweepSpec(family, "undeformed", (1.0,), params, tail_tol))
+    for param, row in zip(params, rows):
+        try:
+            entropy, skipped = shannon_entropy_bits(_law_list(family, param, tail_tol)), False
+        except ValueError:
+            entropy, skipped = None, True
+        assert repr(row.entropy_series) == repr(entropy), param
+        assert ("entropy-skipped" in row.status.split(";")) == skipped, param
+
+
+@pytest.mark.parametrize(
+    "family,param,tail_tol,skipped",
+    [
+        ("squeezed", _EDGE["squeezed"], 1e-9, False),
+        ("squeezed", _EDGE["squeezed"], 1.00001e-9, True),
+        ("thermal", _EDGE["thermal"], 1e-9, False),
+        ("thermal", _EDGE["thermal"], 1.00001e-9, True),
+        ("squeezed", 2.0, 1e-3, True),
+        ("thermal", 1.0, 1e-3, True),
+        ("squeezed", 1.5, 5e-324, False),
+        ("squeezed", 2.0, 5e-324, False),
+        ("squeezed", 8.0, 1e-12, True),
+        ("thermal", 1e-7, 1e-12, True),
+    ],
+)
+def test_row_entropy_skipped_only_where_the_list_is_short(family, param, tail_tol, skipped):
+    probs = _law_list(family, param, tail_tol)
+    # the 5e-324 lists end in zeros, which the entropy sum must pass over
+    assert (0.0 in probs) == (tail_tol == 5e-324)
+    row = run_sweep(SweepSpec(family, "undeformed", (1.0,), (param,), tail_tol))[0]
+    assert ("entropy-skipped" in row.status.split(";")) == skipped
+    assert (row.entropy_series is None) == skipped
 
 
 @pytest.mark.parametrize("family,param", [("squeezed", 9.5), ("thermal", 1e-7)])

@@ -1,6 +1,7 @@
 """Paired diagonal states: moments, variances, entropies."""
 
 import math
+import re
 import tracemalloc
 from typing import NamedTuple
 
@@ -82,11 +83,35 @@ def test_negative_probability_rejected():
 
 @pytest.mark.parametrize(
     "probabilities,index",
-    [([0.5, -0.1], 1), ([math.nan, 0.5], 0), ([0.5, 0.2, math.inf, -1.0], 2)],
+    [
+        ([0.5, -0.1], 1),
+        ([math.nan, 0.5], 0),
+        ([0.5, 0.2, math.inf, -1.0], 2),
+        ([0.5, -0.2, -math.inf], 1),
+    ],
 )
 def test_first_bad_probability_is_named(probabilities, index):
-    with pytest.raises(ValueError, match=rf"negative probability P\[{index}\] = "):
+    word = "negative" if math.isfinite(probabilities[index]) else "non-finite"
+    with pytest.raises(ValueError, match=rf"^{word} probability P\[{index}\] = "):
         from_probabilities(probabilities, 1.0)
+    with pytest.raises(ValueError, match=rf"^{word} probability P\[{index}\] = "):
+        shannon_entropy_bits(probabilities)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: shannon_entropy_bits([1e308, 1e308]), "probabilities sum to inf, not 1"),
+        (lambda: from_probabilities([1e308, 1e308], 1.0), "squared coefficients sum to inf > 1"),
+        (lambda: PairedDiagonalState((1e154, 1e154), 1.0), "squared coefficients sum to inf > 1"),
+        # one square that is already inf: no partial sum overflows
+        (lambda: PairedDiagonalState((1.5e154,), 0.0), "squared coefficients sum to inf > 1"),
+    ],
+)
+def test_sum_that_overflows_is_the_documented_value_error(build, message):
+    # math.fsum raises OverflowError when its partial sums overflow
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("coeffs", [(0.6, -0.8), (math.nan,), (0.5, math.inf)])
