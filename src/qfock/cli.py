@@ -409,9 +409,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _ArgumentParser:
-    """The parser, built on the first ``main`` call and reused after it."""
+    """The parser, built on the first ``main`` call and reused after it.
+    Its ``commands`` maps each command name to that command's parser."""
     parser = _ArgumentParser(prog="qfock", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     sweep = sub.add_parser("sweep", help="parameter sweep to CSV/JSON")
     sweep.add_argument("family", choices=["squeezed", "thermal"])
@@ -451,9 +453,21 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.
+
+    An argv that starts with a command name goes straight to that
+    command's parser, which parses the rest once: the top-level parser
+    would hand it every later token unchanged.  Any other argv (empty,
+    ``-h``, an unknown command, an option before the command) goes to the
+    top-level parser, for its help and its error text.  Returns the exit
+    code: 0 success, 1 usage or parse error, 2 verification failure, 3 I/O
+    error; a help request (``-h``, ``sweep -h``) exits 0 through SystemExit.
+    """
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.func(args)
     except (ValueError, EvaluationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

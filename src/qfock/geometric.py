@@ -175,13 +175,21 @@ class GeometricLaw(NamedTuple):
 def probability_cutoff(ratio: float, tail_tol: float) -> int:
     """Smallest N with geometric tail ratio^(N+1) <= tail_tol, capped at
     _MAX_TERMS (200,000); past the cap the tail ratio^(N+1) exceeds
-    tail_tol, which is how a caller tells a capped cutoff."""
+    tail_tol, which is how a caller tells a capped cutoff.
+
+    N starts at the log estimate and walks by single steps to the minimal
+    one.  An estimate at or past the cap whose tail at the cap still
+    exceeds tail_tol is the cap at once: near a subnormal tail_tol, r^n
+    keeps one value for millions of n, and the walk would step through them.
+    """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio!r}")
     GeometricLaw._check_tail_tol(tail_tol)
     if ratio == 0.0 or ratio <= tail_tol:
         return 0
     n = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
+    if n >= _MAX_TERMS and ratio ** (_MAX_TERMS + 1) > tail_tol:
+        return _MAX_TERMS
     while ratio ** (n + 1) > tail_tol:
         n += 1
     while n > 0 and ratio**n <= tail_tol:

@@ -663,8 +663,7 @@ def test_parse_dash_text_reads_as_after_double_dash(capsys, expression, evaluate
 def test_parse_options_leave_dash_text_to_the_expression():
     # a single-dash option would claim dash text by its prefix; -h is looked
     # up whole before the value pattern is tried, and no law starts with 'h'
-    (subparsers,) = cli._build_parser()._subparsers._group_actions
-    parse = subparsers.choices["parse"]
+    parse = cli._build_parser().commands["parse"]
     claimed = [s for s in parse._option_string_actions if parse._negative_number_matcher.match(s)]
     assert claimed == ["-h"]
     assert not parse._has_negative_number_optionals

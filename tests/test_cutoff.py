@@ -1,9 +1,12 @@
 """The probability cutoff is the smallest N with r^(N+1) <= tol.
 
 ``probability_cutoff`` starts from the log estimate ceil(ln tol / ln r) - 1
-and corrects it by single steps.  At a boundary ratio r = tol^(1/k) the
-estimate is off by one in either direction, so these cases run both
-correction loops.  The cutoff and the d-weighted series share the term
+and corrects it by single steps, unless the estimate is at or past the
+term cap and the tail at the cap still exceeds tol: that cutoff is the cap
+at once.  At a boundary ratio r = tol^(1/k) the estimate is off by one in
+either direction, so these cases run both correction loops.  Near a
+subnormal tol, where r^n keeps one value over a run of n, the estimate
+can be off by many steps.  The cutoff and the d-weighted series share the term
 cap and the check of their inputs.  Every law with a closed tail, a
 built-in law or an ``expr:`` law with parts, stops through one engine
 where that tail is at most tol of the whole sum; its edge cases, and the
@@ -14,7 +17,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qfock import DeformationScheme, DivergenceError, GeometricLaw, ThermalSpec, thermal_nbar_series
 from qfock.deformation import eval_d
@@ -64,8 +67,13 @@ def test_boundary_ratios_get_the_minimal_cutoff():
 @settings(max_examples=300, deadline=None)
 @given(
     r=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    tol=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+    tol=st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
 )
+@example(r=math.exp(-1e-7), tol=5e-324)
+@example(r=math.exp(-1e-7), tol=1e-320)
+@example(r=math.exp(-0.003720174), tol=5e-324)
+@example(r=math.exp(-0.003720174), tol=1e-320)
+@example(r=0.5, tol=5e-324)
 def test_cutoff_is_minimal_or_capped(r, tol):
     n = probability_cutoff(r, tol)
     if n < CAP:
@@ -77,6 +85,17 @@ def test_cutoff_is_minimal_or_capped(r, tol):
 def test_cutoff_is_capped():
     r = 1.0 - 1e-9  # the minimal cutoff is about 2.8e10 at tol 1e-12
     assert probability_cutoff(r, 1e-12) == CAP
+    # at a subnormal tol r^n holds one value for millions of n past the cap
+    assert probability_cutoff(math.exp(-1e-7), 5e-324) == CAP
+
+
+def test_estimate_past_the_cap_with_a_minimal_cutoff_below_it():
+    # the log estimate is past the cap, yet r^(N+1) reaches 5e-324 at
+    # N = 199,999: the tail at the cap decides, not the estimate
+    r, tol = math.exp(-0.003720174), 5e-324
+    assert _log_estimate(r, tol) == 200_108
+    assert probability_cutoff(r, tol) == 199_999
+    assert _is_minimal(r, tol, 199_999)
 
 
 @pytest.mark.parametrize(
