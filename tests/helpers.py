@@ -1,8 +1,7 @@
 """Small shared test utilities, the written-out sinh form of a built-in
-d(n), the dense-matrix reference routes, the per-call ``eval_d``
-references for the routes that read a scheme's column (the closed stop of
-the built-in laws, the adaptive scan of ``expr:`` laws), and the
-tree-walking reference for ``evaluate_tree``."""
+d(n), the dense-matrix reference routes, the 50-digit sums and stop of
+the built-in laws' weighted series, the per-call ``eval_d`` reference of
+the adaptive scan, and the tree-walking reference for ``evaluate_tree``."""
 
 import math
 import sys
@@ -219,13 +218,73 @@ def reference_weighted_scan(scheme, ratio, tol, prefactor):
     raise DivergenceError("series did not settle within 200000 terms")
 
 
+SERIES_ULPS = 4  # three roundings per positive term, d(n), * p and * r^n, and the sum's own
+_SHORT_SUM = 64  # sums of at most this many terms are summed term by term
+
+
+def within_ulps(value, exact, ulps=SERIES_ULPS):
+    """|value - exact| <= ulps units in the last place of exact rounded to a float."""
+    return abs(value - exact) <= ulps * math.ulp(float(exact))
+
+
+def _closed_sums(scheme, ratio, peak=None):
+    """(d, total, tail) of a built-in law at the working precision: d(n),
+    the whole sum sum_n d(n) r^n and tail(n) = sum_{m>n} d(m) r^m.
+
+    d(n) is n at q = 1 and (b^n - b^-n) / (b - 1/b) else, b being peak or
+    max(q, 1/q), so the sums are the standard ones of sum n x^n, or two
+    geometric parts at x, y = b r, r / b.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    r = mpmath.mpf(ratio)
+    if scheme.q == 1.0:
+        return (
+            mpmath.mpf,
+            r / (1 - r) ** 2,
+            lambda n: r ** (n + 1) * ((n + 1) - n * r) / (1 - r) ** 2,
+        )
+    q = mpmath.mpf(scheme.q)
+    b = max(q, 1 / q) if peak is None else peak
+    x, y, unit = b * r, r / b, b - 1 / b
+    return (
+        lambda n: (b**n - b**-n) / unit,
+        r / ((1 - x) * (1 - y)),
+        lambda n: (x ** (n + 1) / (1 - x) - y ** (n + 1) / (1 - y)) / unit,
+    )
+
+
+def reference_weighted_sum(scheme, ratio, count, prefactor, peak=None):
+    """prefactor * sum_{n<count} d(n) ratio^n of a built-in law at 50 digits
+    (an mpf); count None gives the whole sum, for max(q, 1/q) ratio < 1.
+    ``peak``, an mpf, stands for max(q, 1/q) where given (only
+    ``pre_2a_outcome`` gives it).
+
+    Up to _SHORT_SUM terms the sum is formed term by term; a longer one is
+    the whole sum less the tail past count - 1, which neither cancels the
+    sum's own leading terms at a tiny ratio, as (1 - x^m) / (1 - x) does,
+    nor needs the ratio below 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    with mpmath.workdps(50):
+        d, total, tail = _closed_sums(scheme, ratio, peak)
+        if count is None:
+            partial = total
+        elif count <= _SHORT_SUM:
+            r = mpmath.mpf(ratio)
+            partial = mpmath.fsum(d(n) * r**n for n in range(count))
+        else:
+            partial = total - tail(count - 1)
+        return mpmath.mpf(prefactor) * partial
+
+
 def reference_closed_cutoff(scheme, ratio, tol):
     """Reference for a built-in law's stop: the smallest N whose tail
     sum_{n>N} d(n) ratio^n is at most tol times the whole sum.
 
-    The verdict max(q, 1/q) ratio < 1 comes first.  Tail and sum are the
-    standard sums sum x^n and sum n x^n at 50 digits, two geometric parts
-    for the symmetric law, and N is found by bisection over the term cap.
+    The verdict max(q, 1/q) ratio < 1 comes first.  Tail and sum are those
+    of ``reference_weighted_sum``, at 50 digits, and N is found by
+    bisection over the term cap.
     """
     mpmath = pytest.importorskip("mpmath")
 
@@ -238,20 +297,7 @@ def reference_closed_cutoff(scheme, ratio, tol):
         x = peak * ratio
         raise DivergenceError(f"series diverges: max(q, 1/q) * r = {x!r} >= 1", ratio=x)
     with mpmath.workdps(50):
-        r, b = mpmath.mpf(ratio), mpmath.mpf(peak)
-        if peak == 1.0:
-            total = r / (1 - r) ** 2
-
-            def tail(n):
-                return r ** (n + 1) * ((n + 1) - n * r) / (1 - r) ** 2
-
-        else:
-            x, y = b * r, r / b
-            total = r / ((1 - x) * (1 - y))
-
-            def tail(n):
-                return (x ** (n + 1) / (1 - x) - y ** (n + 1) / (1 - y)) / (b - 1 / b)
-
+        _, total, tail = _closed_sums(scheme, ratio)
         limit = mpmath.mpf(tol) * total
         if tail(199_999) > limit:
             raise DivergenceError("series did not settle within 200000 terms")
@@ -262,27 +308,43 @@ def reference_closed_cutoff(scheme, ratio, tol):
         return hi
 
 
-def reference_closed_scan(scheme, ratio, tol, prefactor):
-    """Reference for a built-in law's series: (fsum of terms, last index N).
+def pre_2a_outcome(scheme, ratio, tol, prefactor, last):
+    """A built-in law's series as the route that forms its terms from the
+    column, float d(n) * prefactor * ratio^n for n <= last, gives it: the
+    outcome ``reference_closed_series`` expects.  ROADMAP item 2a, which
+    forms the terms without d(n), deletes this rule.
 
-    N is ``reference_closed_cutoff``'s; every d(n) up to N, and none past
-    it, comes from one ``eval_d`` call, and one that overflows hands the
-    cell to ``reference_weighted_scan``.  A term that is not finite ends it
-    with DivergenceError naming n; finite terms whose sum overflows name N.
+    - A d(n) that overflows hands the cell to the adaptive scan, whose
+      outcome is ``reference_weighted_scan``'s; d(n) grows with n, so
+      d(last) overflows first.
+    - A d(n) * prefactor that is not finite makes a term that is not
+      finite, a DivergenceError naming the first such n.
+    - Else the sum is that of the law at b = e^lam, lam = |ln q| rounded to
+      a float, of which the column's sinh(n lam) / sinh(lam) are the
+      values: the rounding of lam moves d(n) by up to n |delta lam|, which
+      near the verdict is tens of ulps of the sum.
     """
-    last = reference_closed_cutoff(scheme, ratio, tol)
+    mpmath = pytest.importorskip("mpmath")
+
     try:
-        d = [eval_d(scheme, n) for n in range(last + 1)]
+        top = eval_d(scheme, last)
     except OverflowError:
         return reference_weighted_scan(scheme, ratio, tol, prefactor)
-    terms = [d[n] * prefactor * ratio**n for n in range(last + 1)]
-    for n, t in enumerate(terms):
-        if not math.isfinite(t):
-            raise DivergenceError(f"series term is not finite at n={n}")
-    try:
-        return math.fsum(terms), last
-    except OverflowError:
-        raise DivergenceError(f"series sum overflowed by n={last}") from None
+    if not math.isfinite(top * prefactor):
+        n = next(n for n in range(last + 1) if not math.isfinite(eval_d(scheme, n) * prefactor))
+        raise DivergenceError(f"series term is not finite at n={n}")
+    with mpmath.workdps(50):
+        peak = mpmath.exp(mpmath.mpf(abs(math.log(scheme.q))))
+    return reference_weighted_sum(scheme, ratio, last + 1, prefactor, peak), last
+
+
+def reference_closed_series(scheme, ratio, tol, prefactor):
+    """Reference for a built-in law's series: (the 50-digit sum of its
+    terms for n = 0..N, N), N being ``reference_closed_cutoff``'s, as
+    ``pre_2a_outcome`` gives it.  Without that rule it is
+    (reference_weighted_sum(scheme, ratio, N + 1, prefactor), N)."""
+    last = reference_closed_cutoff(scheme, ratio, tol)
+    return pre_2a_outcome(scheme, ratio, tol, prefactor, last)
 
 
 def reference_moments(state, scheme):

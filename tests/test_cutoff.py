@@ -24,7 +24,13 @@ from qfock.deformation import eval_d
 from qfock.geometric import _closed_tail, probability_cutoff, weighted_cutoff, weighted_series
 from qfock.squeezed import SqueezedSpec, nbar_series
 
-from helpers import reference_closed_cutoff, reference_closed_scan, reference_weighted_scan
+from helpers import (
+    reference_closed_cutoff,
+    reference_closed_series,
+    reference_weighted_scan,
+    reference_weighted_sum,
+    within_ulps,
+)
 
 TOLS = (1e-12, 1e-8, 1e-3, 0.5)
 CAP = 200_000
@@ -193,15 +199,16 @@ def test_closed_stop_ends_where_tol_times_the_sum_underflows():
     assert squeezed.law.r == 0.0 and nbar_series(squeezed) == 0.0
     for ratio in (spec.law.r, 1e-20, 0.3):
         for name in BUILT_IN:
-            want = reference_closed_scan(SCHEMES[name](), ratio, 1e-12, 1e-300)
+            total, last = reference_closed_series(SCHEMES[name](), ratio, 1e-12, 1e-300)
             got = weighted_series(SCHEMES[name](), ratio, 1e-12, 1e-300)
-            assert got == want[0], (name, ratio)
-            assert weighted_cutoff(SCHEMES[name](), ratio, 1e-12) == want[1]
+            assert within_ulps(got, total), (name, ratio)
+            assert weighted_cutoff(SCHEMES[name](), ratio, 1e-12) == last
 
 
 def _bounds(q, ratio, n):
     """Bounds on sum_{m>n} d(m) ratio^m from n c^(n-1) <= d(n) <= n b^(n-1),
-    b = max(q, 1/q) = 1/c, each sum_{m>n} m x^m in closed form, at 50 digits."""
+    b = max(q, 1/q) = 1/c, each sum_{m>n} m x^m in closed form, at 50 digits,
+    and the whole sum, ``reference_weighted_sum``'s."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         b, r = mpmath.mpf(max(q, 1.0 / q)), mpmath.mpf(ratio)
@@ -210,7 +217,8 @@ def _bounds(q, ratio, n):
             x = base * r
             return x ** (n + 1) * ((n + 1) - n * x) / ((1 - x) ** 2 * base)
 
-        return tail(1 / b), tail(b), r / ((1 - b * r) * (1 - r / b))
+        total = reference_weighted_sum(DeformationScheme.biedenharn_macfarlane(q), r, None, 1)
+        return tail(1 / b), tail(b), total
 
 
 @pytest.mark.parametrize("q", [1.0 - 1e-8, 1.0 - 3e-9, 1.0 + 1e-9, 1.0 + 1e-8])
@@ -228,6 +236,35 @@ def test_closed_stop_near_q_one(q, ratio):
     assert lower > tol * total * (1 + 1e-3)  # N - 1 falls short by a whole step
     mean = weighted_series(scheme, ratio, tol, 1.0 - ratio)
     assert abs(mean - float((1 - ratio) * total)) <= 2e-12 * mean
+
+
+REFERENCE_Q = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)
+# Both sides of the switch from term-by-term sums to closed forms at 64 terms.
+REFERENCE_COUNTS = (0, 1, 2, 3, 63, 64, 65, 66, 100, 199, 200)
+
+
+@pytest.mark.parametrize("q", REFERENCE_Q)
+def test_reference_sum_is_the_closed_total_and_the_direct_sum(q):
+    # The totals are r/((1 - b r)(1 - r/b)), b = max(q, 1/q), and r/(1 - r)^2
+    # at q = 1.  Every partial sum up to 200 terms is the direct sum of
+    # d(n) r^n, divergent ratios included, and at r = 1e-200, where the
+    # closed form (1 - x^m)/(1 - x) would cancel to nothing at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    scheme = DeformationScheme.undeformed() if q == 1.0 else DeformationScheme.biedenharn_macfarlane(q)
+    with mpmath.workdps(50):
+        b = max(mpmath.mpf(q), 1 / mpmath.mpf(q))
+        for ratio in (1e-200, 0.3, 0.99):
+            r = mpmath.mpf(ratio)
+            if b * r < 1:
+                total = r / (1 - r) ** 2 if q == 1.0 else r / ((1 - b * r) * (1 - r / b))
+                assert reference_weighted_sum(scheme, ratio, None, 1) == total
+            direct = mpmath.mpf(0)
+            for count in range(201):
+                if count in REFERENCE_COUNTS:
+                    got = reference_weighted_sum(scheme, ratio, count, 1)
+                    assert abs(got - direct) <= 1e-40 * abs(direct), (ratio, count)
+                d = count if q == 1.0 else (b**count - b**-count) / (b - 1 / b)
+                direct += d * r**count
 
 
 def _float_product(scheme, ratio):
@@ -340,7 +377,7 @@ def test_negative_prefactor_flips_the_sign_only(name):
     for ratio in (0.05, 0.3, 0.45):
         plus = weighted_series(SCHEMES[name](), ratio, 1e-12, 0.5)
         assert weighted_series(SCHEMES[name](), ratio, 1e-12, -0.5) == -plus < 0.0
-        assert reference_closed_scan(SCHEMES[name](), ratio, 1e-12, -0.5)[0] == -plus
+        assert within_ulps(-plus, reference_closed_series(SCHEMES[name](), ratio, 1e-12, -0.5)[0])
 
 
 @pytest.mark.parametrize("name", BUILT_IN)

@@ -7,8 +7,8 @@ where r is the law's ratio, and some columns go on to s = 0.99 and 0.999,
 means of about 100 and 1000, as far as d(n) stays finite up to the
 series cutoff.  The reference takes r from the exact double parameter the
 row was computed at and evaluates every quantity through forms other than
-the library's: the mean as the two plain geometric sums of
-d(n) = (q^n - q^-n)/(q - 1/q), the variances through the moments.
+the library's: the mean as (1 - r) times the whole sum of
+``reference_weighted_sum``, the variances through the moments.
 """
 
 import math
@@ -20,7 +20,7 @@ from qfock import DeformationScheme, entanglement_entropy_closed, thermal_entrop
 from qfock.deformation import eval_d
 from qfock.cli import SweepSpec, run_sweep
 
-from helpers import reference_closed_cutoff
+from helpers import reference_closed_cutoff, reference_weighted_sum
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -66,13 +66,8 @@ def _reference(family, q, param):
     with mpmath.workdps(50):
         x = mpmath.mpf(param)
         r = mpmath.tanh(x) ** 2 if family == "squeezed" else mpmath.exp(-x)
-        if q == 1.0:
-            nbar = r / (1 - r)
-        else:
-            mq = mpmath.mpf(q)
-            plus = mq * r / (1 - mq * r)  # sum of (q r)^n over n >= 1
-            minus = (r / mq) / (1 - r / mq)
-            nbar = (1 - r) * (plus - minus) / (mq - 1 / mq)
+        scheme = DeformationScheme.undeformed() if q == 1.0 else DeformationScheme.biedenharn_macfarlane(q)
+        nbar = reference_weighted_sum(scheme, r, None, 1 - r)
         a_adag = nbar / r
         cross = nbar / mpmath.sqrt(r)
         symmetric = (nbar + a_adag) / 4
